@@ -281,8 +281,9 @@ def _write_certs(certs, outdir):
 
 
 def _point_label(point):
+    """'t;x[;...]' with shortest round-tripping floats, so labels parse back."""
     if isinstance(point, tuple):
-        return ";".join(f"{c:g}" for c in point)
+        return ";".join(repr(float(c)) for c in point)
     return str(point)
 
 

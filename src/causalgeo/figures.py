@@ -10,7 +10,8 @@ formatted to six decimals so golden comparisons at 1e-6 are meaningful.
 
 from __future__ import annotations
 
-from .midpoints import LensStrip, _exact_flat_midpoint
+from .midpoints import LensStrip
+from .spaces import PlaneFrame
 
 
 def _fmt(v):
@@ -54,7 +55,7 @@ def lens_geometry(lens: LensStrip, samples: int = 200):
     polylines.append(("strip_upper", [(strip_hi_t, x_lo), (strip_hi_t, x_hi)]))
     polylines.append(("time_axis", [(t_lo, axis_x), (t_hi, axis_x)]))
     box = (t_lo, t_hi, x_lo, x_hi)
-    midpoint = _exact_flat_midpoint(lens.space, p, q)
+    midpoint = PlaneFrame(p, q).midpoint()
     return polylines, box, midpoint
 
 

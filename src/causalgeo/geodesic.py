@@ -17,13 +17,19 @@ The checkers certify, on the stored grid and on sampled real parameters:
 * the (approximate) constant-speed realizer property with the sandwich
   slack ``2 * 2^-depth`` inherited from truncating parameters to depth.
 
-Dyadic parameters are stored as exact ``Fraction`` keys (integer pairs in
-lowest terms); no floating-point parameter enters a key.
+A curve of depth D stores one list of ``2^D + 1`` points: the dyadic
+``k/2^n`` lives at index ``i = k * 2^(D-n)``, so level n is the stride
+``2^(D-n)`` of that list and every walk over the curve is integer index
+arithmetic.  Exact ``Fraction`` parameters appear only at the API edge
+(``point_at``, ``params``, ``adjacent_pairs``, the ``values`` view,
+``from_dict`` and the parameters given to ``extend_curve``); no
+floating-point parameter ever selects a point.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,12 +47,13 @@ NULL = "null"
 
 @dataclass(frozen=True)
 class DyadicCurve:
-    """A partial map from dyadic rationals in [0, 1] to points.
+    """A map from the dyadic rationals of depth ``depth`` in [0, 1] to points.
 
-    ``values`` is keyed by exact fractions with power-of-two denominators;
-    all dyadics up to ``depth`` are populated.  The curve keeps references
-    to its space and time-function bundle so checkers and the continuous
-    extension need no extra context.
+    ``points`` holds the ``2^depth + 1`` stored points, the one at ``k/2^n``
+    at index ``k * 2^(depth-n)``.  The constructor also accepts a mapping
+    from every such dyadic (as a ``Fraction``) to its point.  The curve
+    keeps references to its space and time-function bundle so checkers and
+    the continuous extension need no extra context.
     """
 
     space: Space
@@ -57,13 +64,30 @@ class DyadicCurve:
     depth: int
     mode: str
     epsilon: float
-    values: dict = field(repr=False)
+    points: list = field(repr=False)
+
+    def __post_init__(self):
+        if isinstance(self.points, Mapping):
+            if len(self.points) != (1 << self.depth) + 1:
+                raise ValueError(f"a depth-{self.depth} curve stores every dyadic "
+                                 f"k/2^{self.depth}, got {len(self.points)} points")
+            object.__setattr__(self, "points", [self.points[fr] for fr in self.params()])
+
+    @property
+    def values(self):
+        """Read-only view of the stored points keyed by exact dyadic ``Fraction``."""
+        return _DyadicValues(self)
 
     def params(self):
-        return sorted(self.values)
+        denom = 1 << self.depth
+        return [Fraction(i, denom) for i in range(denom + 1)]
 
     def point_at(self, param: Fraction):
-        return self.values[Fraction(param)]
+        fr = Fraction(param)
+        num, den = fr.numerator, fr.denominator
+        if den & (den - 1) or den > (1 << self.depth) or not 0 <= num <= den:
+            raise KeyError(param)
+        return self.points[num << (self.depth - (den.bit_length() - 1))]
 
     def adjacent_pairs(self, level: int):
         denom = 1 << level
@@ -81,10 +105,12 @@ class DyadicCurve:
 
     def as_dict(self):
         entries = []
-        for fr in self.params():
-            n = fr.denominator.bit_length() - 1
-            entries.append({"k": fr.numerator, "n": n,
-                            "point": _encode_point(self.values[fr])})
+        depth = self.depth
+        for i, point in enumerate(self.points):
+            # k/2^n in lowest terms: strip the trailing zero bits of i.
+            shift = (i & -i).bit_length() - 1 if i else depth
+            entries.append({"k": i >> shift, "n": depth - shift,
+                            "point": _encode_point(point)})
         return {
             "p": _encode_point(self.p),
             "q": _encode_point(self.q),
@@ -104,6 +130,22 @@ class DyadicCurve:
         return cls(space, bundle, _decode_point(space, payload["p"]),
                    _decode_point(space, payload["q"]), payload["c"],
                    payload["depth"], payload["mode"], payload["epsilon"], values)
+
+
+class _DyadicValues(Mapping):
+    """``DyadicCurve.values``: the stored points keyed by ``Fraction``, on demand."""
+
+    def __init__(self, curve):
+        self._curve = curve
+
+    def __getitem__(self, param):
+        return self._curve.point_at(param)
+
+    def __iter__(self):
+        return iter(self._curve.params())
+
+    def __len__(self):
+        return len(self._curve.points)
 
 
 def _encode_point(point):
@@ -143,16 +185,16 @@ def build_dyadic_curve(space: Space, bundle: TimeFunctionBundle, p, q, c: float,
     else:
         epsilon = 0.0
 
-    values = {Fraction(0): p, Fraction(1): q}
+    denom = 1 << depth
+    points = [None] * (denom + 1)
+    points[0], points[denom] = p, q
     for level in range(1, depth + 1):
-        denom = 1 << level
+        step = denom >> level
         level_eps = 0.0 if mode == EXACT else epsilon / (4 ** level)
-        for k in range(1, denom, 2):
-            left = Fraction(k - 1, denom)
-            right = Fraction(k + 1, denom)
-            x, z = values[left], values[right]
+        for i in range(step, denom, 2 * step):
+            x, z = points[i - step], points[i + step]
             if x == z:
-                values[Fraction(k, denom)] = x
+                points[i] = x
                 continue
             query = MidpointQuery(p=x, q=z, epsilon=level_eps, c=c)
             try:
@@ -166,9 +208,9 @@ def build_dyadic_curve(space: Space, bundle: TimeFunctionBundle, p, q, c: float,
                     level, (x, z),
                     f"no {kind} midpoint in the strip for c={c}; the backend lacks "
                     "strip-compatible midpoints for this pair")
-            values[Fraction(k, denom)] = m
+            points[i] = m
 
-    curve = DyadicCurve(space, bundle, p, q, c, depth, mode, epsilon, values)
+    curve = DyadicCurve(space, bundle, p, q, c, depth, mode, epsilon, points)
     _assert_level_invariants(curve, tol)
     return curve
 
@@ -177,24 +219,24 @@ def _assert_level_invariants(curve, tol):
     space = curve.space
     tol = resolve_tol(space, tol)
     tau_pq = space.tau(curve.p, curve.q)
+    exact = curve.mode == EXACT
     for level in range(1, curve.depth + 1):
         target = tau_pq / (1 << level)
         floor = (tau_pq - curve.epsilon) / (1 << level)
-        for a_param, b_param in curve.adjacent_pairs(level):
-            a, b = curve.values[a_param], curve.values[b_param]
+        pts = curve.points[::1 << (curve.depth - level)]
+        for k, (a, b) in enumerate(zip(pts, pts[1:])):
             if a == b:
                 continue
             t = space.tau(a, b)
-            if curve.mode == EXACT:
-                if abs(t - target) > 4 * tol * (1 + float(tau_pq)):
-                    raise CausalGeoError(
-                        f"level {level} pair {a_param}..{b_param}: tau {float(t)} "
-                        f"drifted from {float(target)}")
+            if exact and abs(t - target) > 4 * tol * (1 + float(tau_pq)):
+                problem = f"drifted from {float(target)}"
+            elif not exact and not t > floor - tol:
+                problem = f"below the level floor {float(floor)}"
             else:
-                if not t > floor - tol:
-                    raise CausalGeoError(
-                        f"level {level} pair {a_param}..{b_param}: tau {float(t)} "
-                        f"below the level floor {float(floor)}")
+                continue
+            a_param, b_param = Fraction(k, 1 << level), Fraction(k + 1, 1 << level)
+            raise CausalGeoError(
+                f"level {level} pair {a_param}..{b_param}: tau {float(t)} {problem}")
 
 
 @dataclass(frozen=True)
@@ -222,16 +264,23 @@ def check_subsequent_bound(curve: DyadicCurve, bundle: TimeFunctionBundle = None
     bundle = bundle or curve.bundle
     tol = resolve_tol(curve.space, tol)
     gap_total = float(bundle.time(curve.q) - bundle.time(curve.p))
+    times = [bundle.time(x) for x in curve.points]
     violations = []
     max_excess = -math.inf
     for level in range(1, curve.depth + 1):
         bound = (1 - curve.c) ** level * gap_total
-        for a_param, b_param in curve.adjacent_pairs(level):
-            a, b = curve.values[a_param], curve.values[b_param]
-            gap = float(bundle.time(b) - bundle.time(a))
-            max_excess = max(max_excess, gap - bound)
-            if gap > bound + tol or gap < -tol:
-                violations.append((level, a, b, gap, bound))
+        step = 1 << (curve.depth - level)
+        level_times = times[::step]
+        gaps = [float(b - a) for a, b in zip(level_times, level_times[1:])]
+        # Subtracting a constant preserves order in floats, so the largest
+        # excess is the largest gap minus the bound.
+        widest = max(gaps)
+        max_excess = max(max_excess, widest - bound)
+        if widest > bound + tol or min(gaps) < -tol:
+            for k, gap in enumerate(gaps):
+                if gap > bound + tol or gap < -tol:
+                    violations.append((level, curve.points[k * step],
+                                       curve.points[(k + 1) * step], gap, bound))
     samples = sum(1 << level for level in range(1, curve.depth + 1))
     verdict = PASS if not violations else FAIL
     witness = None if not violations else violations[0]
@@ -259,8 +308,8 @@ def check_holder(curve: DyadicCurve, bundle: TimeFunctionBundle = None,
     tol_f = float(resolve_tol(curve.space, tol)) or 1e-12
     alpha = curve.holder_exponent()
     constant = curve.holder_constant()
-    params = curve.params()
-    n = len(params)
+    n = len(curve.points)
+    denom = n - 1
     total_pairs = n * (n - 1) // 2
     if total_pairs <= sample_budget:
         index_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -273,13 +322,13 @@ def check_holder(curve: DyadicCurve, bundle: TimeFunctionBundle = None,
     max_ratio = 0.0
     worst = None
     for i, j in index_pairs:
-        t1, t2 = params[i], params[j]
-        a, b = curve.values[t1], curve.values[t2]
+        a, b = curve.points[i], curve.points[j]
         gap = float(bundle.time(b) - bundle.time(a))
-        ratio = gap / float(t2 - t1) ** alpha
+        dt = (j - i) / denom
+        ratio = gap / dt ** alpha
         if ratio > max_ratio:
             max_ratio = ratio
-            worst = (a, b, float(t2 - t1), ratio)
+            worst = (a, b, dt, ratio)
     verdict = PASS if max_ratio <= constant + tol_f else FAIL
     witness = None if verdict == PASS else worst
     return HolderCertificate("holder", verdict, tol_f, len(index_pairs), seed, witness,
@@ -319,12 +368,13 @@ def extend_curve(curve: DyadicCurve, t, tol=None):
         raise CauchyBudget(
             f"Hölder tail {tail:g} at depth {curve.depth} exceeds tolerance {tol:g}")
 
-    truncations = []
-    for n in range(1, curve.depth + 1):
-        denom = 1 << n
-        k = (fr.numerator * denom) // fr.denominator
-        truncations.append(curve.values[Fraction(k, denom)])
-    return curve.space.limit_point(truncations)
+    return curve.space.limit_point([curve.points[i] for i in _truncations(curve, fr)])
+
+
+def _truncations(curve, fr):
+    """Indices of the binary truncations of ``fr`` at levels 1..depth."""
+    num, den, depth = fr.numerator, fr.denominator, curve.depth
+    return [((num << n) // den) << (depth - n) for n in range(1, depth + 1)]
 
 
 def check_causal_extension(curve: DyadicCurve, sample_budget: int = 100,
@@ -410,8 +460,8 @@ def check_realizer(curve: DyadicCurve, sample_budget: int = 200,
 
 def _deepest_partition_length(curve):
     total = 0.0
-    for a_param, b_param in curve.adjacent_pairs(curve.depth):
-        total += float(curve.space.tau(curve.values[a_param], curve.values[b_param]))
+    for a, b in zip(curve.points, curve.points[1:]):
+        total += float(curve.space.tau(a, b))
     return total
 
 
@@ -440,12 +490,9 @@ def check_extension_tail(curve: DyadicCurve, sample_budget: int = 50,
     violations = []
     for _ in range(sample_budget):
         t = float(rng.uniform(0.0, 1.0))
-        fr = Fraction(t)
         prev = None
-        for n in range(1, curve.depth + 1):
-            denom = 1 << n
-            k = (fr.numerator * denom) // fr.denominator
-            point = curve.values[Fraction(k, denom)]
+        for n, i in enumerate(_truncations(curve, Fraction(t)), start=1):
+            point = curve.points[i]
             if prev is not None:
                 gap = abs(float(bundle.time(point) - bundle.time(prev)))
                 bound = constant * (2.0 ** (-(n - 1) * alpha)) + tol
@@ -466,21 +513,14 @@ def _replay_extension_tail(space, bundle, cert):
 
 def _null_branch_curve(space, bundle, p, q, c, depth):
     """Curve for a null-related pair: the backend's causal path, dyadically sampled."""
-    values = {}
+    denom = 1 << depth
     if isinstance(space, CausalSetSpace):
         path = space.directed_path(p, q)
         last = len(path) - 1
-        for fr in _all_dyadics(depth):
-            values[fr] = path[(fr.numerator * last) // fr.denominator]
+        points = [path[(i * last) // denom] for i in range(denom + 1)]
     else:
-        for fr in _all_dyadics(depth):
-            values[fr] = space.interpolate(p, q, fr.numerator / fr.denominator)
-    return DyadicCurve(space, bundle, p, q, c, depth, NULL, 0.0, values)
-
-
-def _all_dyadics(depth):
-    denom = 1 << depth
-    return [Fraction(k, denom) for k in range(denom + 1)]
+        points = [space.interpolate(p, q, i / denom) for i in range(denom + 1)]
+    return DyadicCurve(space, bundle, p, q, c, depth, NULL, 0.0, points)
 
 
 def synthesize_geodesic(space: Space, bundle: TimeFunctionBundle, p, q, c: float,

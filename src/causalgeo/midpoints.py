@@ -9,9 +9,10 @@ lies between the two convex combinations ``(1-c)T(p)+cT(q)`` and
 ``cT(p)+(1-c)T(q)``.
 
 Midpoint search is deterministic: on finite backends an id-ordered
-enumeration, on flat backends a damped Newton solve of the two hyperbola
-equalities started from the affine midpoint, followed by a fixed offset
-ladder and a raster fallback for the approximate case.
+enumeration; on flat backends the affine midpoint (p+q)/2, which is the
+unique exact tau-midpoint there, built in the p-q plane frame and rejected
+when it falls on a removed point, followed in the approximate case by a
+fixed offset ladder and a raster fallback.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (Certificate, DEFAULT_SEED, FAIL, PASS, PiecewiseCausalCurve,
                    resolve_tol)
 from .errors import (CurveTooShort, DegenerateStrip, MidpointBoundsViolated,
                      NotARealizer, NotChronological, UnsupportedBackend)
+from .spaces import PlaneFrame
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,7 @@ class LensStrip:
         if not (self.space.is_minkowski_like and len(self.p) == 2):
             raise UnsupportedBackend("boundary curves are only drawn on R^{1,1}")
         if self.epsilon == 0:
-            m = _exact_flat_midpoint(self.space, self.p, self.q)
+            m = PlaneFrame(self.p, self.q).midpoint()
             return [("lens_upper", [m]), ("lens_lower", [m])]
         radius = self.half - self.epsilon
         if radius <= 0:
@@ -184,74 +186,6 @@ def lens_strip_geometry(space: Space, bundle: TimeFunctionBundle, p, q,
 # -- search -------------------------------------------------------------------
 
 
-def _exact_flat_midpoint(space, p, q, tol: float = 1e-12):
-    """Damped Newton on the two squared hyperbola equalities.
-
-    Works in the 2-plane spanned by the time axis and the spatial direction
-    p -> q; starts from the affine midpoint (the unique exact solution on a
-    flat backend, so convergence is immediate in exact arithmetic) and falls
-    back to a coarse grid refinement when damping stalls.
-    """
-    tau_pq = space.tau(p, q)
-    a2 = (tau_pq / 2) ** 2
-    tp, tq = p[0], q[0]
-    dxv = [b - a_ for a_, b in zip(p[1:], q[1:])]
-    span = math.hypot(*dxv)
-    unit = tuple(d / span for d in dxv) if span > 0 else (1.0,) + (0.0,) * (len(dxv) - 1)
-
-    def embed(t, s):
-        return (t, *(a_ + s * u for a_, u in zip(p[1:], unit)))
-
-    def residual(t, s):
-        f1 = (t - tp) ** 2 - s ** 2 - a2
-        f2 = (tq - t) ** 2 - (span - s) ** 2 - a2
-        return f1, f2
-
-    scale = max(1.0, a2)
-    t, s = (tp + tq) / 2.0, span / 2.0
-    f1, f2 = residual(t, s)
-    norm = abs(f1) + abs(f2)
-    for _ in range(60):
-        if norm <= tol * scale:
-            return embed(t, s)
-        j11, j12 = 2 * (t - tp), -2 * s
-        j21, j22 = -2 * (tq - t), 2 * (span - s)
-        det = j11 * j22 - j12 * j21
-        if det == 0:
-            break
-        dt = (f1 * j22 - f2 * j12) / det
-        ds = (j11 * f2 - j21 * f1) / det
-        lam = 1.0
-        for _ in range(10):
-            t2, s2 = t - lam * dt, s - lam * ds
-            g1, g2 = residual(t2, s2)
-            if abs(g1) + abs(g2) < norm:
-                t, s, f1, f2, norm = t2, s2, g1, g2, abs(g1) + abs(g2)
-                break
-            lam /= 2.0
-        else:
-            break
-    if norm <= tol * scale:
-        return embed(t, s)
-
-    # Grid + refinement fallback.
-    lo_t, hi_t, lo_s, hi_s = tp, tq, -span - tau_pq, span + tau_pq
-    best = (norm, t, s)
-    for _ in range(4):
-        ts = [lo_t + (hi_t - lo_t) * i / 40 for i in range(41)]
-        ss = [lo_s + (hi_s - lo_s) * i / 40 for i in range(41)]
-        for tc in ts:
-            for sc in ss:
-                g1, g2 = residual(tc, sc)
-                n = abs(g1) + abs(g2)
-                if n < best[0]:
-                    best = (n, tc, sc)
-        _, t, s = best
-        wt, ws = (hi_t - lo_t) / 10, (hi_s - lo_s) / 10
-        lo_t, hi_t, lo_s, hi_s = t - wt, t + wt, s - ws, s + ws
-    return embed(best[1], best[2])
-
-
 def _strip_fraction(bundle, p, q, y):
     """Position of T(y) inside [T(p), T(q)], as an exact fraction of the gap."""
     tp, tq, ty = bundle.time(p), bundle.time(q), bundle.time(y)
@@ -290,8 +224,8 @@ def _midpoint_search(space, bundle, p, q, eps, c, tol):
             return None
         return min(cands, key=lambda y: (abs(bundle.time(y) - t_center), y))
 
-    tau_pq = space.tau(p, q)
-    exact = _exact_flat_midpoint(space, p, q)
+    frame = PlaneFrame(p, q)
+    exact = frame.midpoint()
     if eps == 0:
         # The exact solution is unique on flat backends; reject it when it
         # collapses onto a removed point (up to a rounding guard).
@@ -306,14 +240,10 @@ def _midpoint_search(space, bundle, p, q, eps, c, tol):
     if feasible(exact):
         return exact
 
-    dxv = [b - a_ for a_, b in zip(p[1:], q[1:])]
-    span = math.hypot(*dxv)
-    unit = tuple(d / span for d in dxv) if span > 0 else (1.0,) + (0.0,) * (len(dxv) - 1)
-    orth = unit
-
     def offset(dt, ds):
-        return (exact[0] + dt, *(e + ds * u for e, u in zip(exact[1:], orth)))
+        return (exact[0] + dt, *(e + ds * u for e, u in zip(exact[1:], frame.unit)))
 
+    tau_pq = space.tau(p, q)
     sigma = min(eps, float(tau_pq) / 8)
     for k in range(-10, 4):
         r = sigma * (2.0 ** k)

@@ -29,7 +29,7 @@ from .core import (FUTURE, PAST, Certificate, DEFAULT_SEED, FAIL, PASS,
                    PiecewiseCausalCurve, Space, TimeFunctionBundle, make_rng,
                    register_replay, resolve_tol)
 from .errors import BudgetExceeded, NotConnected, UnsupportedBackend
-from .spaces import CausalSetSpace
+from .spaces import CausalSetSpace, PlaneFrame
 
 
 @dataclass(frozen=True)
@@ -68,24 +68,6 @@ def null_length(bundle: TimeFunctionBundle, curve: PiecewiseCausalCurve) -> Null
 
 
 # -- zigzag search on flat backends ---------------------------------------------
-
-
-class _PlaneFrame:
-    """The 2-plane spanned by the time axis and the spatial direction p -> q."""
-
-    def __init__(self, p, q):
-        self.base = p
-        dxv = [b - a for a, b in zip(p[1:], q[1:])]
-        norm = math.hypot(*dxv)
-        if norm == 0.0:
-            self.unit = (1.0,) + (0.0,) * (len(dxv) - 1)
-        else:
-            self.unit = tuple(d / norm for d in dxv)
-        self.p_plane = (p[0], 0.0)
-        self.q_plane = (q[0], norm)
-
-    def embed(self, t, s):
-        return (t, *(a + s * u for a, u in zip(self.base[1:], self.unit)))
 
 
 def _null_corners(a_plane, b_plane):
@@ -137,7 +119,7 @@ def _best_two_segment(space, bundle, frame, a, b, a_plane, b_plane):
 
 def _zigzag(space, bundle, p, q) -> NullDistanceResult:
     """Nested optimization over two- and four-segment null zigzags."""
-    frame = _PlaneFrame(p, q)
+    frame = PlaneFrame(p, q)
     pp, qp = frame.p_plane, frame.q_plane
 
     best = _best_two_segment(space, bundle, frame, p, q, pp, qp)
@@ -232,8 +214,11 @@ def null_distance(space: Space, bundle: TimeFunctionBundle, p, q,
     """
     if method == "auto":
         if p == q:
+            # The bundle's own zero: exact on discrete backends, where a float
+            # 0.0 would round the exact sums it enters.
             curve = PiecewiseCausalCurve(space, (p,), ())
-            return NullDistanceResult(0.0, curve, "causal_exact")
+            return NullDistanceResult(bundle.time(p) - bundle.time(p), curve,
+                                      "causal_exact")
         if space.causal_le(p, q):
             curve = PiecewiseCausalCurve(space, (p, q), (FUTURE,))
             return NullDistanceResult(abs(bundle.time(q) - bundle.time(p)), curve,

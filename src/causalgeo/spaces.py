@@ -129,6 +129,31 @@ class MinkowskiSpace(Space):
         return out
 
 
+class PlaneFrame:
+    """The 2-plane spanned by the time axis and the spatial direction p -> q.
+
+    Plane point (t, s) sits at time t, a distance s from p along that direction.
+    """
+
+    def __init__(self, p, q):
+        self.base = p
+        dxv = [b - a for a, b in zip(p[1:], q[1:])]
+        self.span = math.hypot(*dxv)
+        if self.span == 0.0:
+            self.unit = (1.0,) + (0.0,) * (len(dxv) - 1)
+        else:
+            self.unit = tuple(d / self.span for d in dxv)
+        self.p_plane = (p[0], 0.0)
+        self.q_plane = (q[0], self.span)
+
+    def embed(self, t, s):
+        return (t, *(a + s * u for a, u in zip(self.base[1:], self.unit)))
+
+    def midpoint(self):
+        """The affine midpoint (p+q)/2: the unique exact tau-midpoint on flat space."""
+        return self.embed((self.p_plane[0] + self.q_plane[0]) / 2.0, self.span / 2.0)
+
+
 class PuncturedMinkowski(MinkowskiSpace):
     """Minkowski space with a finite set of points removed from the universe.
 
@@ -582,10 +607,23 @@ def sprinkle_causet(diamond_corners, density: float, seed: int,
 # -- persistence ----------------------------------------------------------------
 
 
+def _encode_rational(value):
+    """A float when it holds the value exactly (as for every sprinkle), else "p/q"."""
+    as_float = float(value)
+    return as_float if as_float == value else str(value)
+
+
+def _parse_rational(text):
+    """A "p/q" cell exactly; any other cell as a float, as decimal files always read."""
+    return Fraction(text) if "/" in text else float(text)
+
+
 def save_causet_json(space: CausalSetSpace, path):
     payload = {
-        "vertices": [{"id": v, "T": float(space.time_of(v))} for v in space.vertices],
-        "edges": [{"src": s, "dst": d, "tau": float(w)} for s, d, w in space.edges],
+        "vertices": [{"id": v, "T": _encode_rational(space.time_of(v))}
+                     for v in space.vertices],
+        "edges": [{"src": s, "dst": d, "tau": _encode_rational(w)}
+                  for s, d, w in space.edges],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -605,12 +643,12 @@ def save_causet_csv(space: CausalSetSpace, vertices_path, edges_path):
         writer = csv.writer(fh)
         writer.writerow(["id", "T"])
         for v in space.vertices:
-            writer.writerow([v, float(space.time_of(v))])
+            writer.writerow([v, _encode_rational(space.time_of(v))])
     with open(edges_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "tau"])
         for s, d, w in space.edges:
-            writer.writerow([s, d, float(w)])
+            writer.writerow([s, d, _encode_rational(w)])
 
 
 def load_causet_csv(vertices_path, edges_path) -> CausalSetSpace:
@@ -619,11 +657,11 @@ def load_causet_csv(vertices_path, edges_path) -> CausalSetSpace:
         header = next(reader)
         if header != ["id", "T"]:
             raise ValueError('vertex file header must be exactly "id,T"')
-        vertices = [(row[0], float(row[1])) for row in reader if row]
+        vertices = [(row[0], _parse_rational(row[1])) for row in reader if row]
     with open(edges_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header != ["src", "dst", "tau"]:
             raise ValueError('edge file header must be exactly "src,dst,tau"')
-        edges = [(row[0], row[1], float(row[2])) for row in reader if row]
+        edges = [(row[0], row[1], _parse_rational(row[2])) for row in reader if row]
     return CausalSetSpace(vertices, edges)

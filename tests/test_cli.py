@@ -261,3 +261,45 @@ class TestCausetCommand:
 
     def test_requires_discrete_backend(self, tmp_path):
         assert run("causet", "--out", str(tmp_path / "o")) == 2
+
+
+class TestPointLabels:
+    def test_distance_labels_parse_back(self, tmp_path):
+        from causalgeo.cli import _parse_point
+        a, b = (0.123456789012, -0.3333333333333333), (1.0000001, 0.7000000000000001)
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("src,dst\n" + ",".join(
+            ";".join(repr(c) for c in point) for point in (a, b)) + "\n")
+        out = tmp_path / "o"
+        assert run("nulldist", "--pairs", str(pairs), "--out", str(out)) == 0
+        with open(out / "distances.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert (_parse_point(rows[1][0]), _parse_point(rows[1][1])) == (a, b)
+
+    def test_failure_labels_parse_back(self, tmp_path):
+        from causalgeo.cli import _parse_point
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[backend]\nkind = punctured\nremoved = 1.00000005,0\n\n"
+                       "[geodesic]\nq = 2.0000001,0\n")
+        out = tmp_path / "o"
+        assert run("geodesic", "--config", str(cfg), "--out", str(out),
+                   "--depth", "3") == 1
+        failure = read_json(out / "failure.json")
+        assert [_parse_point(label) for label in failure["pair"]] == [
+            (0.0, 0.0), (2.0000001, 0.0)]
+
+
+class TestGoldenGeodesic:
+    """Depth-5 runs whose outputs were recorded from the Fraction-keyed curve
+    and the Newton midpoint solver; the index-backed curve and the closed-form
+    midpoint must reproduce them byte for byte."""
+
+    @pytest.mark.parametrize("name", ["geodesic_exact_d5", "geodesic_punctured_d5"])
+    def test_outputs_match_golden(self, tmp_path, name):
+        golden = os.path.join(os.path.dirname(__file__), "golden")
+        out = tmp_path / "o"
+        assert run("geodesic", "--config", os.path.join(golden, f"{name}.cfg"),
+                   "--out", str(out)) == 0
+        for filename in ("curve.json", "certificates.json"):
+            with open(os.path.join(golden, name, filename), "rb") as fh:
+                assert (out / filename).read_bytes() == fh.read(), filename

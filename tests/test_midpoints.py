@@ -4,9 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from causalgeo import (CausalSetSpace, MidpointQuery, PiecewiseCausalCurve,
-                       approximate_midpoint_from_curve, certify_compatibility,
+from causalgeo import (CausalSetSpace, MidpointQuery, MinkowskiSpace,
+                       PiecewiseCausalCurve, approximate_midpoint_from_curve,
+                       canonical_time_bundle, certify_compatibility,
                        find_midpoint, is_eps_tau_midpoint, lens_in_strip_epsilon,
                        lens_strip_geometry, midpoint_from_realizer, replay)
 from causalgeo.core import make_rng
@@ -301,3 +303,30 @@ class TestApproximateMidpointFromCurve:
         curve = PiecewiseCausalCurve.future_chain(space, ("v0", "v1", "v2"))
         with pytest.raises(MidpointBoundsViolated):
             approximate_midpoint_from_curve(space, "v0", "v2", curve, 0.5)
+
+
+@st.composite
+def chronological_pairs(draw):
+    """A chronological pair in Minkowski 1+1, 1+2 or 1+3."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    coord = st.floats(-10.0, 10.0, allow_nan=False)
+    p = tuple(draw(coord) for _ in range(1 + dim))
+    dx = [draw(st.floats(-5.0, 5.0, allow_nan=False)) for _ in range(dim)]
+    dt = math.hypot(*dx) + draw(st.floats(0.01, 5.0, allow_nan=False))
+    q = (p[0] + dt, *(a + d for a, d in zip(p[1:], dx)))
+    return dim, p, q
+
+
+class TestClosedFormMidpoint:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(chronological_pairs())
+    def test_affine_midpoint_is_tau_midpoint(self, case):
+        dim, p, q = case
+        space = MinkowskiSpace(dim)
+        assume(space.chronological(p, q))
+        m = find_midpoint(space, canonical_time_bundle(space), MidpointQuery(p, q))
+        assert m is not None
+        assert is_eps_tau_midpoint(space, p, q, m, 0.0)
+        scale = max(1.0, *map(abs, p), *map(abs, q))
+        assert all(abs(mi - (pi + qi) / 2) <= 1e-12 * scale
+                   for pi, qi, mi in zip(p, q, m))

@@ -1,10 +1,12 @@
 """Null distance: identities, zigzags, oracles, metric axioms."""
 
+from fractions import Fraction
+
 import pytest
 
-from causalgeo import (CausalSetSpace, PiecewiseCausalCurve, check_metric_axioms,
-                       null_distance, null_distance_oracle, null_length, replay,
-                       validate_analytic_fast_path)
+from causalgeo import (CausalSetSpace, PiecewiseCausalCurve, causet_time_bundle,
+                       check_metric_axioms, null_distance, null_distance_oracle,
+                       null_length, replay, validate_analytic_fast_path)
 from causalgeo.errors import NotConnected, UnsupportedBackend
 from causalgeo.nulldist import minkowski_analytic_candidate
 
@@ -193,3 +195,32 @@ class TestMetricAxioms:
                 d_bg = mink.background_distance(center, y)
                 assert d_t <= 2 * d_bg
                 assert d_bg <= 2 * d_t
+
+
+class TestExactZero:
+    """p == q gives the bundle's own zero, so exact sums stay exact."""
+
+    @staticmethod
+    def thirds():
+        return CausalSetSpace([("a", 0), ("b", Fraction(1, 3)), ("c", 1)],
+                              [("a", "b", Fraction(1, 3)), ("b", "c", Fraction(2, 3))])
+
+    def test_same_vertex_is_exact_zero(self):
+        space = self.thirds()
+        value = null_distance(space, causet_time_bundle(space), "b", "b").value
+        assert isinstance(value, Fraction)
+        assert value == 0
+
+    def test_triangle_through_repeated_vertex_is_exact(self):
+        # d(a,b) <= d(a,a) + d(a,b) must hold exactly; a float 0.0 rounds
+        # the right side to 0.333...31 < 1/3.
+        space = self.thirds()
+        bundle = causet_time_bundle(space)
+        d_ab = null_distance(space, bundle, "a", "b").value
+        d_aa = null_distance(space, bundle, "a", "a").value
+        assert d_ab == d_aa + d_ab == Fraction(1, 3)
+
+    def test_metric_axioms_pass(self):
+        space = self.thirds()
+        cert = check_metric_axioms(space, causet_time_bundle(space), sample_budget=50)
+        assert cert.passed, cert.witness

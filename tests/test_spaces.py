@@ -212,6 +212,51 @@ class TestPersistence:
         for v in loaded.vertices:
             assert loaded.time_of(v) == skewed_diamond.time_of(v)
 
+    @staticmethod
+    def thirds():
+        return CausalSetSpace([("a", 0), ("b", Fraction(1, 3)), ("c", 1)],
+                              [("a", "b", Fraction(1, 3)), ("b", "c", Fraction(2, 3))])
+
+    def test_json_keeps_thirds_exact(self, tmp_path):
+        space = self.thirds()
+        path = tmp_path / "causet.json"
+        save_causet_json(space, path)
+        loaded = load_causet_json(path)
+        assert loaded.tau("a", "c") == 1
+        assert loaded.edges == space.edges
+        assert loaded.time_of("b") == Fraction(1, 3)
+        payload = json.loads(path.read_text())
+        # Values a float holds exactly stay numbers; the others become "p/q".
+        assert [v["T"] for v in payload["vertices"]] == [0.0, "1/3", 1.0]
+        assert [e["tau"] for e in payload["edges"]] == ["1/3", "2/3"]
+
+    def test_csv_keeps_thirds_exact(self, tmp_path):
+        space = self.thirds()
+        vp, ep = tmp_path / "vertices.csv", tmp_path / "edges.csv"
+        save_causet_csv(space, vp, ep)
+        loaded = load_causet_csv(vp, ep)
+        assert loaded.tau("a", "c") == 1
+        assert loaded.edges == space.edges
+        assert loaded.time_of("b") == Fraction(1, 3)
+        assert ep.read_text().splitlines()[1:] == ["a,b,1/3", "b,c,2/3"]
+
+    def test_decimal_cells_load_as_floats(self, tmp_path):
+        # A file written before "p/q" cells existed keeps its meaning.
+        vp, ep = tmp_path / "vertices.csv", tmp_path / "edges.csv"
+        vp.write_text("id,T\na,0.0\nb,0.1\n")
+        ep.write_text("src,dst,tau\na,b,0.1\n")
+        loaded = load_causet_csv(vp, ep)
+        assert loaded.time_of("b") == Fraction(0.1)
+        assert loaded.tau("a", "b") == Fraction(0.1)
+
+    def test_sprinkle_saves_numbers_only(self, tmp_path):
+        space = sprinkle_causet(((0.0, 0.0), (1.0, 0.0)), 40, seed=9)
+        path = tmp_path / "causet.json"
+        save_causet_json(space, path)
+        payload = json.loads(path.read_text())
+        assert all(isinstance(v["T"], float) for v in payload["vertices"])
+        assert all(isinstance(e["tau"], float) for e in payload["edges"])
+
     def test_csv_header_is_strict(self, tmp_path):
         vp, ep = tmp_path / "vertices.csv", tmp_path / "edges.csv"
         vp.write_text("id,time\n")
