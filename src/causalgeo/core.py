@@ -388,16 +388,8 @@ def _replay_reverse_triangle(space, bundle, cert):
 
 
 def _causal_chains(space, sample_budget, seed):
-    if space.is_discrete:
-        pts = list(space.points())
-        chains = [(x, y, z)
-                  for x in pts for y in pts for z in pts
-                  if space.causal_le(x, y) and space.causal_le(y, z)]
-        if len(chains) <= sample_budget or len(pts) ** 3 <= 8000:
-            return chains
-        rng = make_rng(seed)
-        idx = rng.choice(len(chains), size=sample_budget, replace=False)
-        return [chains[i] for i in sorted(idx)]
+    if space.is_discrete and len(space.points()) ** 3 <= 8000:
+        return list(space.causal_chains())
     return space.sample_causal_chains(make_rng(seed), sample_budget)
 
 
@@ -410,16 +402,7 @@ def check_anti_lipschitz(space: Space, bundle: TimeFunctionBundle, sample_budget
     skipped (the property is local).
     """
     tol = resolve_tol(space, tol)
-    if space.is_discrete:
-        pts = list(space.points())
-        pairs = [(x, y) for x in pts for y in pts
-                 if x != y and space.causal_le(x, y)]
-        if len(pairs) > sample_budget:
-            rng = make_rng(seed)
-            idx = rng.choice(len(pairs), size=sample_budget, replace=False)
-            pairs = [pairs[i] for i in sorted(idx)]
-    else:
-        pairs = space.sample_causal_pairs(make_rng(seed), sample_budget)
+    pairs = space.sample_causal_pairs(make_rng(seed), sample_budget)
     violations = []
     checked = 0
     for x, y in pairs:

@@ -219,7 +219,12 @@ def _midpoint_search(space, bundle, p, q, eps, c, tol):
                 and in_strip(y))
 
     if space.is_discrete:
-        cands = [y for y in space.points() if feasible(y)]
+        # Off the diamond J+(p) & J-(q) one half-separation is |0 - tau(p,q)/2|,
+        # so when that misses the tolerance only diamond vertices can qualify.
+        half = space.tau(p, q) / 2
+        off_diamond_infeasible = half >= eps if eps > 0 else half > tol
+        pool = space.causal_diamond(p, q) if off_diamond_infeasible else space.points()
+        cands = [y for y in pool if feasible(y)]
         if not cands:
             return None
         return min(cands, key=lambda y: (abs(bundle.time(y) - t_center), y))

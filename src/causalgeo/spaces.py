@@ -20,7 +20,10 @@ import csv
 import heapq
 import json
 import math
+from bisect import bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
+from itertools import accumulate
 
 from .core import AntiLipschitzWitness, Space, TimeFunctionBundle
 from .errors import CycleDetected, EmptySprinkle, NotComplete
@@ -220,10 +223,13 @@ class CausalSetSpace(Space):
       chain), which satisfies the reverse triangle inequality by
       concatenation.
 
-    Edges are transitively reduced at load; reachability is precomputed as
-    one bitmask per vertex.  Vertex times and weights are exact rationals.
+    Edges are transitively reduced at load.  Per vertex x, the bitmask
+    ``_reach[x]`` holds every y with x <= y and ``_chron[x]`` every y with
+    x << y (bit i is the i-th sorted id); related pairs and chains are
+    indexed views over them.  Vertex times and weights are exact rationals.
     The only post-construction state is a per-source memo of longest-path
-    tables, a cache of pure query results.
+    tables and the integer adjacency of the last time function given to
+    :meth:`time_graph_distance`, both caches of pure query results.
     """
 
     is_discrete = True
@@ -275,7 +281,14 @@ class CausalSetSpace(Space):
         for v in self._ids:
             self._out[v] = tuple(sorted(self._out[v]))
             self._in[v] = tuple(sorted(self._in[v]))
+        self._chron = {}
+        for v in reversed(self._topo):
+            mask = 0
+            for w, weight in self._out[v]:
+                mask |= self._reach[w] if weight > 0 else self._chron[w]
+            self._chron[v] = mask
         self._longest_cache = {}
+        self._time_graph = None
         self.sufficiently_causally_connected = self._check_connectedness()
 
     # -- construction helpers -------------------------------------------------
@@ -401,7 +414,7 @@ class CausalSetSpace(Space):
         return dist.get(y, Fraction(0))
 
     def chronological(self, x, y):
-        return x != y and self.causal_le(x, y) and self.tau(x, y) > 0
+        return x != y and bool(self._chron[x] & (1 << self._index[y]))
 
     def limit_point(self, points):
         if not points:
@@ -414,23 +427,34 @@ class CausalSetSpace(Space):
         idx = rng.integers(0, len(self._ids), size=count)
         return [self._ids[i] for i in idx]
 
-    def _related_pairs(self, predicate):
-        return [(x, y) for x in self._ids for y in self._ids
-                if x != y and predicate(x, y)]
+    def causal_pairs(self):
+        """Pairs x <= y with x != y, in (x, y) id order, addressable by index."""
+        return _MaskRows(self._ids, [((x,), self._reach[x] & ~(1 << self._index[x]))
+                                     for x in self._ids])
+
+    def chronological_pairs(self):
+        """Pairs x << y, in (x, y) id order, addressable by index."""
+        return _MaskRows(self._ids, [((x,), self._chron[x]) for x in self._ids])
+
+    def causal_chains(self):
+        """Triples x <= y <= z, in (x, y, z) id order, addressable by index."""
+        return _MaskRows(self._ids, [((x, self._ids[i]), self._reach[self._ids[i]])
+                                     for x in self._ids for i in _bits(self._reach[x])])
+
+    def causal_diamond(self, p, q):
+        """The vertices y with p <= y <= q, in id order."""
+        q_bit = 1 << self._index[q]
+        return [self._ids[i] for i in _bits(self._reach[p])
+                if self._reach[self._ids[i]] & q_bit]
 
     def sample_causal_pairs(self, rng, count):
-        pairs = self._related_pairs(self.causal_le)
-        return _sample_from(pairs, rng, count)
+        return _sample_from(self.causal_pairs(), rng, count)
 
     def sample_chronological_pairs(self, rng, count):
-        pairs = self._related_pairs(self.chronological)
-        return _sample_from(pairs, rng, count)
+        return _sample_from(self.chronological_pairs(), rng, count)
 
     def sample_causal_chains(self, rng, count):
-        chains = [(x, y, z)
-                  for x in self._ids for y in self._ids for z in self._ids
-                  if self.causal_le(x, y) and self.causal_le(y, z)]
-        return _sample_from(chains, rng, count)
+        return _sample_from(self.causal_chains(), rng, count)
 
     def out_edges(self, v):
         return self._out[v]
@@ -456,14 +480,17 @@ class CausalSetSpace(Space):
     def time_graph_distance(self, time, x, y, with_path=False):
         """Dijkstra over the symmetrized edge set with weights |time(b) - time(a)|.
 
+        Times are scaled to integers by the lcm of their denominators (built
+        once per ``time`` callable), and the sum is divided back at the end.
         Returns the exact distance (and optionally one optimal vertex path),
         or None when no piecewise causal walk joins x and y.
         """
         if x not in self._t or y not in self._t:
             raise ValueError("unknown vertex")
-        dist = {x: Fraction(0)}
+        scale, adjacency = self._integer_time_graph(time)
+        dist = {x: 0}
         prev = {}
-        heap = [(Fraction(0), x)]
+        heap = [(0, x)]
         settled = set()
         while heap:
             d, v = heapq.heappop(heap)
@@ -472,9 +499,7 @@ class CausalSetSpace(Space):
             settled.add(v)
             if v == y:
                 break
-            neighbours = [w for w, _ in self._out[v]] + [w for w, _ in self._in[v]]
-            for w in neighbours:
-                step = abs(_as_fraction(time(w)) - _as_fraction(time(v)))
+            for w, step in adjacency[v]:
                 cand = d + step
                 if w not in dist or cand < dist[w]:
                     dist[w] = cand
@@ -483,12 +508,22 @@ class CausalSetSpace(Space):
         if y not in settled:
             return None
         if not with_path:
-            return dist[y]
+            return Fraction(dist[y], scale)
         path = [y]
         while path[-1] != x:
             path.append(prev[path[-1]])
         path.reverse()
-        return dist[y], path
+        return Fraction(dist[y], scale), path
+
+    def _integer_time_graph(self, time):
+        if self._time_graph is None or self._time_graph[0] != time:
+            times = {v: _as_fraction(time(v)) for v in self._ids}
+            scale = math.lcm(*(t.denominator for t in times.values()))
+            ticks = {v: int(t * scale) for v, t in times.items()}
+            adjacency = {v: [(w, abs(ticks[w] - ticks[v]))
+                             for w, _ in self._out[v] + self._in[v]] for v in self._ids}
+            self._time_graph = (time, scale, adjacency)
+        return self._time_graph[1:]
 
     def edge_orientation(self, a, b):
         """'future' if a -> b is an edge, 'past' if b -> a is, else None."""
@@ -497,6 +532,40 @@ class CausalSetSpace(Space):
         if any(w == a for w, _ in self._out[b]):
             return "past"
         return None
+
+
+class _MaskRows(Sequence):
+    """The tuples ``prefix + (ids[i],)`` for each row ``(prefix, mask)`` and
+    each set bit i of its mask, in row order, then bit order.
+
+    Indexing bisects the running bit counts of the rows, so a sample is drawn
+    without listing the tuples.
+    """
+
+    def __init__(self, ids, rows):
+        self._ids = ids
+        self._rows = rows
+        self._starts = [0, *accumulate(mask.bit_count() for _, mask in rows)]
+
+    def __len__(self):
+        return self._starts[-1]
+
+    def __getitem__(self, index):
+        if not 0 <= index < len(self):
+            raise IndexError("row index out of range")
+        row = bisect_right(self._starts, index) - 1
+        prefix, mask = self._rows[row]
+        for _ in range(index - self._starts[row]):
+            mask &= mask - 1
+        return prefix + (self._ids[(mask & -mask).bit_length() - 1],)
+
+
+def _bits(mask):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _sample_from(items, rng, count):

@@ -303,3 +303,18 @@ class TestGoldenGeodesic:
         for filename in ("curve.json", "certificates.json"):
             with open(os.path.join(golden, name, filename), "rb") as fh:
                 assert (out / filename).read_bytes() == fh.read(), filename
+
+
+class TestGoldenCertify:
+    """A density-100 sprinkle (58 vertices, so 58^3 > 8000 and chains are
+    sampled); its certificates were recorded while pairs and chains were
+    still listed in full and Dijkstra added Fractions."""
+
+    def test_certificates_match_golden(self, tmp_path):
+        golden = os.path.join(os.path.dirname(__file__), "golden")
+        out = tmp_path / "o"
+        assert run("certify", "--config", os.path.join(golden, "certify_causet_d100.cfg"),
+                   "--out", str(out)) == 0
+        with open(os.path.join(golden, "certify_causet_d100", "certificates.json"),
+                  "rb") as fh:
+            assert (out / "certificates.json").read_bytes() == fh.read()
