@@ -11,9 +11,11 @@ Three computation routes are provided:
 * ``graph`` -- on causal sets, Dijkstra over the symmetrized edge set with
   weights |dT|; lossless because increments telescope along monotone runs.
 * ``zigzag`` -- on flat backends, closed-form two-segment null corners plus
-  a one-parameter nested search over four-segment shapes.
+  a one-parameter nested search over four-segment shapes.  With coordinate
+  time the route stops at the corner of a spacelike pair once its cost meets
+  the lower bound max(|dt|, ||dx||); the search can only lose to it there.
 
-The analytic candidate max(|dt|, ||dx||) for the coordinate time function is
+The closed form max(|dt|, ||dx||) for the coordinate time function is
 shipped as ``analytic`` but never auto-selected; it must be validated against
 an independent route first (:func:`validate_analytic_fast_path`).
 """
@@ -84,8 +86,13 @@ def _null_corners(a_plane, b_plane):
     up_s = sa + sgn * (up_t - ta)
     down_t = (ta + tb - gap) / 2.0
     down_s = sa + sgn * (ta - down_t)
-    nudge = 1e-12 * (1.0 + abs(ta) + abs(tb) + gap)
+    nudge = _corner_nudge(ta, tb, gap)
     return (up_t + nudge, up_s), (down_t - nudge, down_s)
+
+
+def _corner_nudge(ta, tb, gap):
+    """How far :func:`_null_corners` pushes an apex inside the cones."""
+    return 1e-12 * (1.0 + abs(ta) + abs(tb) + gap)
 
 
 def _two_segment_candidates(space, bundle, frame, a, b, a_plane, b_plane):
@@ -118,6 +125,36 @@ def _best_two_segment(space, bundle, frame, a, b, a_plane, b_plane):
 
 
 def _zigzag(space, bundle, p, q) -> NullDistanceResult:
+    """The null corner when it meets the proven bound, else the full search.
+
+    With coordinate time, max(|dt|, ||dx||) bounds every piecewise causal
+    curve from below.  A spacelike pair's corner costs that bound plus two
+    nudges of :func:`_null_corners`; a four-segment candidate splits the pair
+    into two spacelike halves that pay two nudges each, so the search could
+    never replace the corner.  Other time functions, pairs with no surviving
+    corner or whose corner misses the bound by more than the slack, and
+    related pairs (a split of the direct segment can undercut it by rounding)
+    keep the search.
+    """
+    if bundle.canonical_minkowski:
+        frame = PlaneFrame(p, q)
+        pp, qp = frame.p_plane, frame.q_plane
+        best = _best_two_segment(space, bundle, frame, p, q, pp, qp)
+        # Two nudges carried by the corner, one more for rounding.
+        slack = 3.0 * _corner_nudge(pp[0], qp[0], frame.span)
+        if (best is not None and len(best[1]) == 3 and
+                abs(best[0] - minkowski_analytic_candidate(bundle, p, q)) <= slack):
+            return _zigzag_result(space, best)
+    return _zigzag_search(space, bundle, p, q)
+
+
+def _zigzag_result(space, best) -> NullDistanceResult:
+    cost, joints, orientations = best
+    return NullDistanceResult(cost, PiecewiseCausalCurve(space, joints, orientations),
+                              "zigzag")
+
+
+def _zigzag_search(space, bundle, p, q) -> NullDistanceResult:
     """Nested optimization over two- and four-segment null zigzags."""
     frame = PlaneFrame(p, q)
     pp, qp = frame.p_plane, frame.q_plane
@@ -171,9 +208,7 @@ def _zigzag(space, bundle, p, q) -> NullDistanceResult:
 
     if best is None:
         raise NotConnected(f"no zigzag candidate joins {p} and {q}")
-    cost, joints, orientations = best
-    curve = PiecewiseCausalCurve(space, joints, orientations)
-    return NullDistanceResult(cost, curve, "zigzag")
+    return _zigzag_result(space, best)
 
 
 def _graph(space: CausalSetSpace, bundle, p, q) -> NullDistanceResult:
@@ -192,10 +227,13 @@ def _graph(space: CausalSetSpace, bundle, p, q) -> NullDistanceResult:
 
 
 def minkowski_analytic_candidate(bundle: TimeFunctionBundle, p, q) -> float:
-    """max(|dt|, ||dx||): the conjectured closed form for coordinate time.
+    """max(|dt|, ||dx||): the null distance of coordinate time on flat space.
 
-    Only meaningful for the canonical bundle; do not trust it on a backend
-    before :func:`validate_analytic_fast_path` passes there.
+    It bounds every piecewise causal curve from below, because each causal
+    segment has |dt| >= ||dx||, and the two-segment null corner attains it
+    (Sormani-Vega, CQG 33 (2016) 085001).  Only meaningful for the canonical
+    bundle; do not trust it on a backend before
+    :func:`validate_analytic_fast_path` passes there.
     """
     if not bundle.canonical_minkowski:
         raise UnsupportedBackend("analytic candidate requires the coordinate time function")

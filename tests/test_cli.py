@@ -318,3 +318,28 @@ class TestGoldenCertify:
         with open(os.path.join(golden, "certify_causet_d100", "certificates.json"),
                   "rb") as fh:
             assert (out / "certificates.json").read_bytes() == fh.read()
+
+
+class TestGoldenZigzag:
+    """Flat Minkowski 1+2 runs through the zigzag route, recorded while it
+    still ran the four-segment search on every spacelike pair; stopping at
+    the null corner must reproduce them byte for byte."""
+
+    def test_nulldist_matches_golden(self, tmp_path):
+        # 300 pairs uniform in [-1, 1]^3, drawn with random.Random(5).
+        golden = os.path.join(os.path.dirname(__file__), "golden")
+        out = tmp_path / "o"
+        assert run("nulldist", "--config", os.path.join(golden, "nulldist_flat_300.cfg"),
+                   "--pairs", os.path.join(golden, "nulldist_flat_300_pairs.csv"),
+                   "--out", str(out)) == 0
+        with open(os.path.join(golden, "nulldist_flat_300", "distances.csv"), "rb") as fh:
+            assert (out / "distances.csv").read_bytes() == fh.read()
+
+    def test_certificates_match_golden(self, tmp_path):
+        # metric_axioms and analytic_fast_path both take the zigzag route.
+        golden = os.path.join(os.path.dirname(__file__), "golden")
+        out = tmp_path / "o"
+        assert run("certify", "--config", os.path.join(golden, "certify_flat.cfg"),
+                   "--out", str(out)) == 0
+        with open(os.path.join(golden, "certify_flat", "certificates.json"), "rb") as fh:
+            assert (out / "certificates.json").read_bytes() == fh.read()

@@ -3,12 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from causalgeo import (CausalSetSpace, PiecewiseCausalCurve, causet_time_bundle,
+from causalgeo import (CausalSetSpace, MinkowskiSpace, PiecewiseCausalCurve,
+                       PuncturedMinkowski, canonical_time_bundle, causet_time_bundle,
                        check_metric_axioms, null_distance, null_distance_oracle,
                        null_length, replay, validate_analytic_fast_path)
 from causalgeo.errors import NotConnected, UnsupportedBackend
-from causalgeo.nulldist import minkowski_analytic_candidate
+from causalgeo.nulldist import (_best_two_segment, _null_corners, _zigzag_search,
+                                minkowski_analytic_candidate)
+from causalgeo.spaces import PlaneFrame
 
 
 class TestNullLength:
@@ -89,6 +93,68 @@ class TestAnalyticFastPath:
     def test_requires_canonical_bundle(self, cubic_mink, cubic_bundle):
         with pytest.raises(UnsupportedBackend):
             minkowski_analytic_candidate(cubic_bundle, (0.0, 0.0), (0.0, 1.0))
+
+
+FLAT_BACKENDS = (MinkowskiSpace(1), MinkowskiSpace(2), MinkowskiSpace(3),
+                 PuncturedMinkowski(1, removed=[(0.5, 0.0)]))
+
+
+@st.composite
+def flat_pairs(draw):
+    space = draw(st.sampled_from(FLAT_BACKENDS))
+    coords = st.lists(st.floats(-1.0, 1.0), min_size=space.spatial_dimension + 1,
+                      max_size=space.spatial_dimension + 1).map(tuple)
+    return space, draw(coords), draw(coords)
+
+
+class TestZigzagCornerBound:
+    """With coordinate time the zigzag stops at the null corner; the full
+    search must not be able to tell."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(flat_pairs())
+    def test_matches_full_search_and_analytic(self, case):
+        space, p, q = case
+        assume(p != q and space.contains(p) and space.contains(q))
+        bundle = canonical_time_bundle(space)
+        result = null_distance(space, bundle, p, q, method="zigzag")
+        full = _zigzag_search(space, bundle, p, q)
+        assert result.value == full.value
+        assert result.witness_curve.points == full.witness_curve.points
+        assert result.witness_curve.orientations == full.witness_curve.orientations
+        assert result.method == "zigzag"
+        assert abs(result.value - minkowski_analytic_candidate(bundle, p, q)) <= 1e-9
+
+    def test_spacelike_pairs_skip_the_search(self, mink3, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("four-segment search ran")
+
+        monkeypatch.setattr("causalgeo.nulldist._zigzag_search", no_search)
+        bundle = canonical_time_bundle(mink3)
+        for q in ((0.0, 0.6, 0.8), (0.3, -1.2, 0.5), (-1.5, 1.9, -0.2)):
+            result = null_distance(mink3, bundle, (0.1, 0.0, 0.0), q)
+            assert len(result.witness_curve.points) == 3
+
+    def test_other_time_functions_keep_the_search(self, cubic_mink, cubic_bundle):
+        p, q = (0.0, 0.0), (0.0, 1.0)
+        frame = PlaneFrame(p, q)
+        corner = _best_two_segment(cubic_mink, cubic_bundle, frame, p, q,
+                                   frame.p_plane, frame.q_plane)
+        result = null_distance(cubic_mink, cubic_bundle, p, q)
+        assert corner[0] == pytest.approx(0.25, abs=1e-9)
+        assert result.value == pytest.approx(0.0625, abs=1e-9)
+        assert len(result.witness_curve.points) == 5
+
+    def test_search_runs_when_no_corner_survives(self):
+        p, q = (0.0, 0.0), (0.0, 1.0)
+        frame = PlaneFrame(p, q)
+        corners = [frame.embed(*c) for c in _null_corners(frame.p_plane, frame.q_plane)]
+        space = PuncturedMinkowski(1, removed=corners)
+        bundle = canonical_time_bundle(space)
+        result = null_distance(space, bundle, p, q)
+        assert result.method == "zigzag"
+        assert len(result.witness_curve.points) == 5
+        assert abs(result.value - minkowski_analytic_candidate(bundle, p, q)) <= 1e-7
 
 
 class TestOracle:
