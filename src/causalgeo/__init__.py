@@ -12,8 +12,7 @@ from .geodesic import (DyadicCurve, HolderCertificate, build_dyadic_curve,
                        check_subsequent_bound, extend_curve, synthesize_geodesic)
 from .midpoints import (LensStrip, MidpointQuery, approximate_midpoint_from_curve,
                         certify_compatibility, find_midpoint, is_eps_tau_midpoint,
-                        lens_in_strip_epsilon, lens_strip_geometry,
-                        midpoint_from_realizer)
+                        lens_in_strip_epsilon, midpoint_from_realizer)
 from .nulldist import (NullDistanceResult, NullLengthValue, check_metric_axioms,
                        null_distance, null_distance_oracle, null_length,
                        validate_analytic_fast_path)

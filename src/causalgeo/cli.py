@@ -33,9 +33,9 @@ from .errors import (CausalGeoError, ConfigError, DegenerateStrip,
                      MidpointUnavailable, NotConnected, UnsupportedBackend)
 from .figures import lens_boundary_rows, lens_figure_svg
 from .geodesic import synthesize_geodesic
-from .midpoints import certify_compatibility, lens_in_strip_epsilon, lens_strip_geometry
+from .midpoints import LensStrip, certify_compatibility, lens_in_strip_epsilon
 from .nulldist import check_metric_axioms, null_distance, validate_analytic_fast_path
-from .spaces import (CausalSetSpace, MinkowskiSpace, PuncturedMinkowski,
+from .spaces import (MinkowskiSpace, PuncturedMinkowski,
                      canonical_time_bundle, causet_time_bundle, cubic_time_bundle,
                      load_causet_csv, load_causet_json, save_causet_csv,
                      save_causet_json, sprinkle_causet)
@@ -209,7 +209,7 @@ def build_space(config: RunConfig):
 
 def check_point(space, point, label):
     """Reject endpoints that do not belong to the backend's universe."""
-    if isinstance(space, CausalSetSpace):
+    if space.is_discrete:
         if not space.contains(point):
             raise ConfigError(f"{label} = {point!r} is not a vertex of the causal set")
     else:
@@ -223,7 +223,7 @@ def check_point(space, point, label):
 
 def build_bundle(config: RunConfig, space):
     kind = config["time_function"]["kind"]
-    if isinstance(space, CausalSetSpace):
+    if space.is_discrete:
         if kind != "coordinate":
             raise ConfigError("causal-set backends only carry their stored time values")
         return causet_time_bundle(space)
@@ -361,7 +361,7 @@ def cmd_nulldist(config: RunConfig) -> int:
 def cmd_lens(config: RunConfig) -> int:
     outdir = config["run"]["out"]
     space = build_space(config)
-    if not (space.is_minkowski_like and space.spatial_dimension == 1):
+    if space.is_discrete or space.spatial_dimension != 1:
         raise UnsupportedBackend("the lens figure needs the R^{1,1} backend")
     bundle = build_bundle(config, space)
     section = config["lens"]
@@ -371,7 +371,7 @@ def cmd_lens(config: RunConfig) -> int:
     if epsilon == "auto":
         epsilon = lens_in_strip_epsilon(space, bundle, p, q, section["c"],
                                         seed=config["run"]["seed"])
-    lens = lens_strip_geometry(space, bundle, p, q, epsilon, section["c"])
+    lens = LensStrip(space, bundle, p, q, epsilon, section["c"])
     write_manifest(config, outdir, "lens")
     atomic_write(os.path.join(outdir, "lens.svg"),
                  lens_figure_svg(lens, section["resolution"]))
@@ -413,7 +413,7 @@ def cmd_certify(config: RunConfig) -> int:
 def cmd_causet(config: RunConfig) -> int:
     outdir = config["run"]["out"]
     space = build_space(config)
-    if not isinstance(space, CausalSetSpace):
+    if not space.is_discrete:
         raise ConfigError("causet command needs a causet or sprinkle backend")
     write_manifest(config, outdir, "causet")
     os.makedirs(outdir, exist_ok=True)
@@ -427,50 +427,47 @@ def cmd_causet(config: RunConfig) -> int:
 # -- entry point --------------------------------------------------------------------
 
 
-_OVERRIDES = {
-    "seed": ("run", "seed"),
-    "out": ("run", "out"),
-    "depth": ("geodesic", "depth"),
-    "c": ("geodesic", "c"),
-    "epsilon": ("geodesic", "epsilon"),
-    "epsilon_hat": ("geodesic", "epsilon_hat"),
-    "mode": ("geodesic", "mode"),
-    "backend": ("backend", "kind"),
-    "density": ("backend", "density"),
-    "method": ("nulldist", "method"),
-    "pairs": ("nulldist", "pairs_file"),
+# Flag -> (config section, key, argparse options).  Every subcommand takes
+# --config and the common flags; geodesic and nulldist add the flags of their
+# own sections, so a flag is only accepted where its key is read.
+_FLAGS = {
+    "seed": ("run", "seed", {"type": int, "help": "RNG seed recorded in every certificate"}),
+    "out": ("run", "out", {"help": "output directory"}),
+    "backend": ("backend", "kind", {"choices": ["minkowski", "punctured", "causet", "sprinkle"],
+                                    "help": "backend kind"}),
+    "density": ("backend", "density", {"type": float, "help": "sprinkle density"}),
+    "depth": ("geodesic", "depth", {"type": int, "help": "dyadic refinement depth"}),
+    "c": ("geodesic", "c", {"type": float, "help": "compatibility constant in (0, 1/2]"}),
+    "epsilon": ("geodesic", "epsilon", {"type": float, "help": "absolute midpoint tolerance"}),
+    "epsilon_hat": ("geodesic", "epsilon_hat", {"type": float,
+                                                "help": "relative midpoint tolerance"}),
+    "mode": ("geodesic", "mode", {"choices": ["exact", "approximate"], "help": "synthesis mode"}),
+    "method": ("nulldist", "method", {"choices": ["auto", "graph", "zigzag", "analytic"],
+                                      "help": "null-distance method"}),
+    "pairs": ("nulldist", "pairs_file", {"help": "CSV pair list for the nulldist command"}),
+}
+_COMMON_FLAGS = ("seed", "out", "backend", "density")
+_COMMANDS = {
+    "geodesic": (cmd_geodesic, ("depth", "c", "epsilon", "epsilon_hat", "mode")),
+    "nulldist": (cmd_nulldist, ("method", "pairs")),
+    "lens": (cmd_lens, ()),
+    "certify": (cmd_certify, ()),
+    "causet": (cmd_causet, ()),
 }
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--config", help="INI run configuration file")
-    sub.add_argument("--seed", type=int, help="RNG seed recorded in every certificate")
-    sub.add_argument("--depth", type=int, help="dyadic refinement depth")
-    sub.add_argument("--c", type=float, dest="c", help="compatibility constant in (0, 1/2]")
-    sub.add_argument("--epsilon-hat", type=float, dest="epsilon_hat",
-                     help="relative midpoint tolerance")
-    sub.add_argument("--epsilon", type=float, help="absolute midpoint tolerance")
-    sub.add_argument("--mode", choices=["exact", "approximate"], help="synthesis mode")
-    sub.add_argument("--backend", choices=["minkowski", "punctured", "causet", "sprinkle"],
-                     help="backend kind")
-    sub.add_argument("--density", type=float, help="sprinkle density")
-    sub.add_argument("--method", choices=["auto", "graph", "zigzag", "analytic"],
-                     help="null-distance method")
-    sub.add_argument("--pairs", help="CSV pair list for the nulldist command")
-    sub.add_argument("--out", help="output directory", default=None)
-
-
 def _build_parser():
+    # allow_abbrev=False: argparse would otherwise read "certify --c" as --config.
     parser = argparse.ArgumentParser(
-        prog="causalgeo",
+        prog="causalgeo", allow_abbrev=False,
         description="Null distances, tau-midpoints and dyadic geodesic synthesis "
                     "on causal-space backends.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("geodesic", cmd_geodesic), ("nulldist", cmd_nulldist),
-                     ("lens", cmd_lens), ("certify", cmd_certify),
-                     ("causet", cmd_causet)):
-        sub = subs.add_parser(name)
-        _add_common_flags(sub)
+    for name, (fn, own_flags) in _COMMANDS.items():
+        sub = subs.add_parser(name, allow_abbrev=False)
+        sub.add_argument("--config", help="INI run configuration file")
+        for flag in _COMMON_FLAGS + own_flags:
+            sub.add_argument("--" + flag.replace("_", "-"), dest=flag, **_FLAGS[flag][2])
         sub.set_defaults(func=fn)
     return parser
 
@@ -482,7 +479,7 @@ def main(argv=None) -> int:
     try:
         if args.config:
             config.load_file(args.config)
-        for flag, (section, key) in _OVERRIDES.items():
+        for flag, (section, key, _) in _FLAGS.items():
             value = getattr(args, flag, None)
             if value is not None:
                 config.sections[section][key] = value

@@ -8,15 +8,22 @@ attaches a generalized time function together with its anti-Lipschitz
 witness neighbourhoods, and :class:`PiecewiseCausalCurve` models zigzags of
 future- and past-directed causal segments.
 
-Sampled checks are seeded-deterministic and report a :class:`Certificate`
-whose fail witnesses can be replayed through :func:`replay`.
+Sampled checks are seeded-deterministic and report a :class:`Certificate`.
+Each certificate name has one predicate, registered with :func:`predicate`:
+given a case (a witness tuple whose measured entries may be None) it
+returns the completed witness and whether the property fails there.  A
+checker builds its cases and hands them to :func:`certify`, which runs the
+predicate and sets the verdict and witness; :func:`replay` runs the same
+predicate on a failing certificate's stored witness.  Predicates read their
+tolerance and parameters from the certificate and compare exact values
+against the tolerance without adding it, so rationals stay exact.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -44,8 +51,9 @@ class Space(ABC):
     """
 
     name = "space"
+    # The one backend capability: finite and exact (causal sets) or flat and
+    # floating-point (Minkowski space and its punctured variant).
     is_discrete = False
-    is_minkowski_like = False
 
     @abstractmethod
     def causal_le(self, x, y) -> bool:
@@ -91,41 +99,17 @@ class Space(ABC):
     def sample_points(self, rng, count: int) -> list:
         """Seeded-deterministic point sample."""
 
-    # Generic rejection samplers; concrete backends override with
-    # constructive versions for efficiency.
-
+    @abstractmethod
     def sample_causal_pairs(self, rng, count: int) -> list:
-        return self._reject_pairs(rng, count, self.causal_le)
+        """Seeded pairs x <= y."""
 
+    @abstractmethod
     def sample_chronological_pairs(self, rng, count: int) -> list:
-        return self._reject_pairs(rng, count, self.chronological)
+        """Seeded pairs x << y."""
 
+    @abstractmethod
     def sample_causal_chains(self, rng, count: int) -> list:
-        """Sampled triples x <= y <= z."""
-        out = []
-        attempts = 0
-        while len(out) < count and attempts < 2000 * count:
-            x, y, z = self.sample_points(rng, 3)
-            attempts += 1
-            if self.causal_le(x, y) and self.causal_le(y, z):
-                out.append((x, y, z))
-        if len(out) < count:
-            raise RuntimeError("chain sampling budget exhausted")
-        return out
-
-    def _reject_pairs(self, rng, count, predicate):
-        out = []
-        attempts = 0
-        while len(out) < count and attempts < 2000 * count:
-            x, y = self.sample_points(rng, 2)
-            attempts += 1
-            if predicate(x, y):
-                out.append((x, y))
-            elif predicate(y, x):
-                out.append((y, x))
-        if len(out) < count:
-            raise RuntimeError("pair sampling budget exhausted")
-        return out
+        """Seeded triples x <= y <= z."""
 
 
 @dataclass(frozen=True)
@@ -301,14 +285,53 @@ def jsonable(value):
     return str(value)
 
 
-_REPLAYERS = {}
+PREDICATES = {}
 
 
-def register_replay(name):
+def predicate(name):
+    """Register the one predicate of certificate ``name``.
+
+    ``check(space, bundle, cert, *case)`` returns ``(witness, failed)``: the
+    case with its measured entries recomputed, and whether the property
+    fails on it.  A case that checks several properties at once may return
+    a list of such pairs.
+    """
     def wrap(fn):
-        _REPLAYERS[name] = fn
+        PREDICATES[name] = fn
         return fn
     return wrap
+
+
+def smallest(failures):
+    """The failing witness that sorts first by its string entries."""
+    return min(failures, key=lambda w: tuple(map(str, w)))
+
+
+def first(failures):
+    """The failing witness found first."""
+    return failures[0]
+
+
+def certify(draft: Certificate, space: Space, bundle, cases, pick=smallest,
+            count=True):
+    """Run the predicate of ``draft.name`` on every case.
+
+    Returns ``draft`` with its verdict and ``pick`` of the failing witnesses
+    (plus their number as ``data["violations"]`` when ``count``), and the
+    completed witness of every case, for checkers that report measurements.
+    """
+    check = PREDICATES[draft.name]
+    completed, failures = [], []
+    for case in cases:
+        found = check(space, bundle, draft, *case)
+        for witness, failed in (found if isinstance(found, list) else [found]):
+            completed.append(witness)
+            if failed:
+                failures.append(witness)
+    data = {**draft.data, "violations": len(failures)} if count else draft.data
+    cert = replace(draft, verdict=FAIL if failures else PASS,
+                   witness=pick(failures) if failures else None, data=data)
+    return cert, completed
 
 
 def replay(certificate: Certificate, space: Space, bundle: TimeFunctionBundle = None) -> bool:
@@ -319,10 +342,10 @@ def replay(certificate: Certificate, space: Space, bundle: TimeFunctionBundle = 
     if certificate.passed:
         raise ValueError("replay is defined for failing certificates")
     try:
-        fn = _REPLAYERS[certificate.name]
+        check = PREDICATES[certificate.name]
     except KeyError:
-        raise ValueError(f"no replay predicate registered for {certificate.name!r}")
-    return fn(space, bundle, certificate)
+        raise ValueError(f"no predicate registered for {certificate.name!r}")
+    return bool(check(space, bundle, certificate, *certificate.witness)[1])
 
 
 def resolve_tol(space: Space, tol):
@@ -330,10 +353,6 @@ def resolve_tol(space: Space, tol):
     if tol is not None:
         return tol
     return 0 if space.is_discrete else DEFAULT_TOL
-
-
-def _sorted_witness(violations):
-    return sorted(violations, key=lambda w: tuple(map(str, w)))[0]
 
 
 def check_chronology(space: Space, sample_budget: int = 256, seed: int = DEFAULT_SEED,
@@ -344,21 +363,14 @@ def check_chronology(space: Space, sample_budget: int = 256, seed: int = DEFAULT
         pts = list(space.points())
     else:
         pts = space.sample_points(make_rng(seed), sample_budget)
-    violations = []
-    for x in pts:
-        diag = space.tau(x, x)
-        if diag > tol:
-            violations.append((x, diag))
-    verdict = PASS if not violations else FAIL
-    witness = None if not violations else _sorted_witness(violations)
-    return Certificate("chronology", verdict, float(tol), len(pts), seed, witness,
-                       {"violations": len(violations)})
+    draft = Certificate("chronology", None, float(tol), len(pts), seed)
+    return certify(draft, space, None, [(x, None) for x in pts])[0]
 
 
-@register_replay("chronology")
-def _replay_chronology(space, bundle, cert):
-    x, _ = cert.witness
-    return space.tau(x, x) > cert.tolerance
+@predicate("chronology")
+def _chronology(space, bundle, cert, x, _diag):
+    diag = space.tau(x, x)
+    return (x, diag), diag > cert.tolerance
 
 
 def check_reverse_triangle(space: Space, sample_budget: int = 256, seed: int = DEFAULT_SEED,
@@ -366,25 +378,17 @@ def check_reverse_triangle(space: Space, sample_budget: int = 256, seed: int = D
     """Certify tau(x,z) >= tau(x,y) + tau(y,z) on sampled chains x <= y <= z."""
     tol = resolve_tol(space, tol)
     chains = _causal_chains(space, sample_budget, seed)
-    violations = []
-    for x, y, z in chains:
-        whole = space.tau(x, z)
-        if whole == math.inf:
-            continue
-        gap = (space.tau(x, y) + space.tau(y, z)) - whole
-        if gap > tol:
-            violations.append((x, y, z, gap))
-    verdict = PASS if not violations else FAIL
-    witness = None if not violations else _sorted_witness(violations)
-    return Certificate("reverse_triangle", verdict, float(tol), len(chains), seed, witness,
-                       {"violations": len(violations)})
+    draft = Certificate("reverse_triangle", None, float(tol), len(chains), seed)
+    return certify(draft, space, None, [(x, y, z, None) for x, y, z in chains])[0]
 
 
-@register_replay("reverse_triangle")
-def _replay_reverse_triangle(space, bundle, cert):
-    x, y, z, _ = cert.witness
-    gap = (space.tau(x, y) + space.tau(y, z)) - space.tau(x, z)
-    return gap > cert.tolerance
+@predicate("reverse_triangle")
+def _reverse_triangle(space, bundle, cert, x, y, z, _gap):
+    whole = space.tau(x, z)
+    if whole == math.inf:
+        return (x, y, z, None), False
+    gap = (space.tau(x, y) + space.tau(y, z)) - whole
+    return (x, y, z, gap), gap > cert.tolerance
 
 
 def _causal_chains(space, sample_budget, seed):
@@ -402,29 +406,20 @@ def check_anti_lipschitz(space: Space, bundle: TimeFunctionBundle, sample_budget
     skipped (the property is local).
     """
     tol = resolve_tol(space, tol)
-    pairs = space.sample_causal_pairs(make_rng(seed), sample_budget)
-    violations = []
-    checked = 0
-    for x, y in pairs:
+    cases = []
+    for x, y in space.sample_causal_pairs(make_rng(seed), sample_budget):
         if bundle.witness_for(x) is None:
             raise WitnessMissing(f"no anti-Lipschitz witness covers {x}")
-        w = bundle.common_witness(x, y)
-        if w is None:
-            continue
-        checked += 1
-        gap = w.metric(x, y) - (bundle.time(y) - bundle.time(x))
-        if gap > tol:
-            violations.append((x, y, gap))
-    verdict = PASS if not violations else FAIL
-    witness = None if not violations else _sorted_witness(violations)
-    return Certificate("anti_lipschitz", verdict, float(tol), checked, seed, witness,
-                       {"violations": len(violations)})
+        if bundle.common_witness(x, y) is not None:
+            cases.append((x, y, None))
+    draft = Certificate("anti_lipschitz", None, float(tol), len(cases), seed)
+    return certify(draft, space, bundle, cases)[0]
 
 
-@register_replay("anti_lipschitz")
-def _replay_anti_lipschitz(space, bundle, cert):
-    x, y, _ = cert.witness
+@predicate("anti_lipschitz")
+def _anti_lipschitz(space, bundle, cert, x, y, _gap):
     w = bundle.common_witness(x, y)
     if w is None:
-        return False
-    return w.metric(x, y) - (bundle.time(y) - bundle.time(x)) > cert.tolerance
+        return (x, y, None), False
+    gap = w.metric(x, y) - (bundle.time(y) - bundle.time(x))
+    return (x, y, gap), gap > cert.tolerance

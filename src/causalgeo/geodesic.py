@@ -30,15 +30,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .core import (Certificate, DEFAULT_SEED, FAIL, PASS, Space,
-                   TimeFunctionBundle, make_rng, register_replay, resolve_tol)
+from .core import (Certificate, DEFAULT_SEED, Space, TimeFunctionBundle, certify,
+                   first, make_rng, predicate, resolve_tol)
 from .errors import (CauchyBudget, CausalGeoError, MidpointUnavailable,
                      NotChronological)
 from .midpoints import MidpointQuery, find_midpoint
-from .spaces import CausalSetSpace
 
 EXACT = "exact"
 APPROXIMATE = "approximate"
@@ -259,13 +258,15 @@ def check_subsequent_bound(curve: DyadicCurve, bundle: TimeFunctionBundle = None
 
     Adjacent stored dyadics are causally related, so their null distance is
     exactly the time gap; the certificate checks that gap (and hence the
-    null distance) never exceeds ``(1-c)^n (T(q) - T(p))``.
+    null distance) never exceeds ``(1-c)^n (T(q) - T(p))``.  Only the pairs
+    of a level whose widest or narrowest gap misses the bound are handed to
+    the predicate.
     """
     bundle = bundle or curve.bundle
     tol = resolve_tol(curve.space, tol)
     gap_total = float(bundle.time(curve.q) - bundle.time(curve.p))
     times = [bundle.time(x) for x in curve.points]
-    violations = []
+    cases = []
     max_excess = -math.inf
     for level in range(1, curve.depth + 1):
         bound = (1 - curve.c) ** level * gap_total
@@ -277,23 +278,18 @@ def check_subsequent_bound(curve: DyadicCurve, bundle: TimeFunctionBundle = None
         widest = max(gaps)
         max_excess = max(max_excess, widest - bound)
         if widest > bound + tol or min(gaps) < -tol:
-            for k, gap in enumerate(gaps):
-                if gap > bound + tol or gap < -tol:
-                    violations.append((level, curve.points[k * step],
-                                       curve.points[(k + 1) * step], gap, bound))
+            pts = curve.points[::step]
+            cases.extend((level, a, b, None, bound) for a, b in zip(pts, pts[1:]))
     samples = sum(1 << level for level in range(1, curve.depth + 1))
-    verdict = PASS if not violations else FAIL
-    witness = None if not violations else violations[0]
-    return Certificate("subsequent_dyadic_bound", verdict, float(tol), samples,
-                       DEFAULT_SEED, witness,
-                       {"max_excess": max_excess if samples else None, "c": curve.c})
+    draft = Certificate("subsequent_dyadic_bound", None, float(tol), samples, DEFAULT_SEED,
+                        data={"max_excess": max_excess if samples else None, "c": curve.c})
+    return certify(draft, curve.space, bundle, cases, first, count=False)[0]
 
 
-@register_replay("subsequent_dyadic_bound")
-def _replay_subsequent(space, bundle, cert):
-    _, a, b, _, bound = cert.witness
+@predicate("subsequent_dyadic_bound")
+def _subsequent_bound(space, bundle, cert, level, a, b, _gap, bound):
     gap = float(bundle.time(b) - bundle.time(a))
-    return gap > bound + cert.tolerance or gap < -cert.tolerance
+    return (level, a, b, gap, bound), gap > bound + cert.tolerance or gap < -cert.tolerance
 
 
 def check_holder(curve: DyadicCurve, bundle: TimeFunctionBundle = None,
@@ -302,12 +298,11 @@ def check_holder(curve: DyadicCurve, bundle: TimeFunctionBundle = None,
     """Max observed d_T ratio over |t - t'|^alpha against the constant K.
 
     Stored dyadics with t < t' are chronologically ordered, so the null
-    distance equals the time gap and the ratio is computed directly.
+    distance equals the time gap and the ratio is computed directly.  The
+    witness is the pair of largest ratio.
     """
     bundle = bundle or curve.bundle
     tol_f = float(resolve_tol(curve.space, tol)) or 1e-12
-    alpha = curve.holder_exponent()
-    constant = curve.holder_constant()
     n = len(curve.points)
     denom = n - 1
     total_pairs = n * (n - 1) // 2
@@ -319,28 +314,22 @@ def check_holder(curve: DyadicCurve, bundle: TimeFunctionBundle = None,
         for _ in range(sample_budget):
             i, j = sorted(rng.choice(n, size=2, replace=False))
             index_pairs.append((int(i), int(j)))
-    max_ratio = 0.0
-    worst = None
-    for i, j in index_pairs:
-        a, b = curve.points[i], curve.points[j]
-        gap = float(bundle.time(b) - bundle.time(a))
-        dt = (j - i) / denom
-        ratio = gap / dt ** alpha
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst = (a, b, dt, ratio)
-    verdict = PASS if max_ratio <= constant + tol_f else FAIL
-    witness = None if verdict == PASS else worst
-    return HolderCertificate("holder", verdict, tol_f, len(index_pairs), seed, witness,
-                             {"slack": constant - max_ratio},
-                             alpha=alpha, constant=constant, max_ratio=max_ratio)
+    draft = HolderCertificate("holder", None, tol_f, len(index_pairs), seed,
+                              alpha=curve.holder_exponent(),
+                              constant=curve.holder_constant())
+    cases = [(curve.points[i], curve.points[j], (j - i) / denom, None)
+             for i, j in index_pairs]
+    cert, completed = certify(draft, curve.space, bundle, cases,
+                              lambda failures: max(failures, key=lambda w: w[3]),
+                              count=False)
+    max_ratio = max([0.0, *(w[3] for w in completed)])
+    return replace(cert, max_ratio=max_ratio, data={"slack": cert.constant - max_ratio})
 
 
-@register_replay("holder")
-def _replay_holder(space, bundle, cert):
-    a, b, dt, _ = cert.witness
+@predicate("holder")
+def _holder(space, bundle, cert, a, b, dt, _ratio):
     ratio = float(bundle.time(b) - bundle.time(a)) / dt ** cert.alpha
-    return ratio > cert.constant + cert.tolerance
+    return (a, b, dt, ratio), ratio > cert.constant + cert.tolerance
 
 
 def extend_curve(curve: DyadicCurve, t, tol=None):
@@ -381,30 +370,24 @@ def check_causal_extension(curve: DyadicCurve, sample_budget: int = 100,
                            seed: int = DEFAULT_SEED, tol=None) -> Certificate:
     """Causal ordering gamma(t1) <= gamma(t2) on sampled real parameters."""
     rng = make_rng(seed)
-    space = curve.space
-    violations = []
-    checked = 0
+    denom = 1 << curve.depth
+    cases = []
     for _ in range(sample_budget):
         t1, t2 = sorted(rng.uniform(0.0, 1.0, size=2))
         if t1 == t2:
             continue
         g1, g2 = extend_curve(curve, t1), extend_curve(curve, t2)
-        checked += 1
-        if not space.causal_le(g1, g2):
-            denom = 1 << curve.depth
-            d1 = Fraction(math.floor(t1 * denom), denom)
-            d2 = Fraction(math.ceil(t2 * denom), denom)
-            violations.append((g1, g2, float(t1), float(t2), str(d1), str(d2)))
-    verdict = PASS if not violations else FAIL
-    witness = None if not violations else violations[0]
-    return Certificate("causal_extension", verdict, float(resolve_tol(space, tol)),
-                       checked, seed, witness, {"violations": len(violations)})
+        d1 = Fraction(math.floor(t1 * denom), denom)
+        d2 = Fraction(math.ceil(t2 * denom), denom)
+        cases.append((g1, g2, float(t1), float(t2), str(d1), str(d2)))
+    draft = Certificate("causal_extension", None, float(resolve_tol(curve.space, tol)),
+                        len(cases), seed)
+    return certify(draft, curve.space, curve.bundle, cases, first)[0]
 
 
-@register_replay("causal_extension")
-def _replay_causal_extension(space, bundle, cert):
-    g1, g2 = cert.witness[0], cert.witness[1]
-    return not space.causal_le(g1, g2)
+@predicate("causal_extension")
+def _causal_extension(space, bundle, cert, g1, g2, *params):
+    return (g1, g2, *params), not space.causal_le(g1, g2)
 
 
 def check_realizer(curve: DyadicCurve, sample_budget: int = 200,
@@ -421,100 +404,81 @@ def check_realizer(curve: DyadicCurve, sample_budget: int = 200,
     tau_pq = float(space.tau(curve.p, curve.q))
     eps = curve.epsilon
     trunc = 2.0 ** -curve.depth
+    approximate = curve.mode == APPROXIMATE
     rng = make_rng(seed)
     pairs = [(0.0, 1.0)]
     for _ in range(sample_budget):
         t1, t2 = sorted(rng.uniform(0.0, 1.0, size=2))
         if t1 < t2:
             pairs.append((float(t1), float(t2)))
-    violations = []
-    max_deviation = 0.0
+    cases = []
     for t1, t2 in pairs:
         g1, g2 = extend_curve(curve, t1), extend_curve(curve, t2)
-        value = float(space.tau(g1, g2))
-        if curve.mode == APPROXIMATE:
+        if approximate:
             lo_speed, hi_speed = tau_pq - eps, tau_pq + eps
             lo = (t2 - t1) * lo_speed - 2 * trunc * lo_speed - tol
             hi = (t2 - t1) * hi_speed + 2 * trunc * hi_speed + tol
-            if value < lo:
-                violations.append(("speed_lower", g1, g2, value, lo, hi))
-            if value > hi:
-                violations.append(("speed_upper", g1, g2, value, lo, hi))
+            cases.append((None, g1, g2, None, lo, hi))
         else:
             target = (t2 - t1) * tau_pq
             slack = 2 * trunc * tau_pq + tol
-            max_deviation = max(max_deviation, abs(value - target))
-            if abs(value - target) > slack:
-                violations.append(("speed", g1, g2, value, target - slack, target + slack))
-    length = _deepest_partition_length(curve)
-    if curve.mode == APPROXIMATE and length < tau_pq - eps - tol:
-        violations.append(("length", curve.p, curve.q, length, tau_pq - eps - tol, None))
-    verdict = PASS if not violations else FAIL
-    witness = None if not violations else violations[0]
-    return Certificate("realizer", verdict, tol, len(pairs), seed, witness,
-                       {"max_deviation": max_deviation,
-                        "tau_length": length,
-                        "sandwich_slack": 2 * trunc * tau_pq,
-                        "mode": curve.mode})
+            cases.append(("speed", g1, g2, None, target - slack, target + slack))
+    # The tau-length of the deepest stored partition.
+    pts = curve.points
+    length = sum((float(space.tau(a, b)) for a, b in zip(pts, pts[1:])), 0.0)
+    if approximate:
+        cases.append(("length", curve.p, curve.q, length, tau_pq - eps - tol, None))
+    draft = Certificate("realizer", None, tol, len(pairs), seed)
+    cert, completed = certify(draft, space, curve.bundle, cases, first, count=False)
+    max_deviation = 0.0 if approximate else max(
+        [0.0, *(abs(w[3] - (t2 - t1) * tau_pq) for w, (t1, t2) in zip(completed, pairs))])
+    return replace(cert, data={"max_deviation": max_deviation,
+                               "tau_length": length,
+                               "sandwich_slack": 2 * trunc * tau_pq,
+                               "mode": curve.mode})
 
 
-def _deepest_partition_length(curve):
-    total = 0.0
-    for a, b in zip(curve.points, curve.points[1:]):
-        total += float(curve.space.tau(a, b))
-    return total
-
-
-@register_replay("realizer")
-def _replay_realizer(space, bundle, cert):
-    kind, g1, g2, value, lo, hi = cert.witness
+@predicate("realizer")
+def _realizer(space, bundle, cert, kind, g1, g2, value, lo, hi):
+    """Kind None (approximate mode) checks both one-sided speed bounds; the
+    deepest-partition ``length`` is measured on the curve and kept as given."""
     if kind == "length":
-        return cert.data["tau_length"] < lo
-    fresh = float(space.tau(g1, g2))
-    if kind == "speed_lower":
-        return fresh < lo
-    if kind == "speed_upper":
-        return fresh > hi
-    return not lo <= fresh <= hi
+        return (kind, g1, g2, value, lo, hi), value < lo
+    value = float(space.tau(g1, g2))
+    if kind is None:
+        kind = "speed_lower" if value < lo else "speed_upper"
+    failed = {"speed_lower": value < lo, "speed_upper": value > hi,
+              "speed": not lo <= value <= hi}[kind]
+    return (kind, g1, g2, value, lo, hi), failed
 
 
 def check_extension_tail(curve: DyadicCurve, sample_budget: int = 50,
                          seed: int = DEFAULT_SEED, tol=None) -> Certificate:
     """Consecutive truncation points stay within the Hölder tail bound."""
-    space = curve.space
-    bundle = curve.bundle
-    tol = float(resolve_tol(space, tol))
+    tol = float(resolve_tol(curve.space, tol))
     alpha = curve.holder_exponent()
     constant = curve.holder_constant()
     rng = make_rng(seed)
-    violations = []
+    cases = []
     for _ in range(sample_budget):
         t = float(rng.uniform(0.0, 1.0))
-        prev = None
-        for n, i in enumerate(_truncations(curve, Fraction(t)), start=1):
-            point = curve.points[i]
-            if prev is not None:
-                gap = abs(float(bundle.time(point) - bundle.time(prev)))
-                bound = constant * (2.0 ** (-(n - 1) * alpha)) + tol
-                if gap > bound:
-                    violations.append((prev, point, n, gap, bound))
-            prev = point
-    verdict = PASS if not violations else FAIL
-    witness = None if not violations else violations[0]
-    return Certificate("extension_tail", verdict, tol, sample_budget, seed, witness,
-                       {"violations": len(violations)})
+        points = [curve.points[i] for i in _truncations(curve, Fraction(t))]
+        cases.extend((prev, point, n, None, constant * (2.0 ** (-(n - 1) * alpha)) + tol)
+                     for n, (prev, point) in enumerate(zip(points, points[1:]), start=2))
+    draft = Certificate("extension_tail", None, tol, sample_budget, seed)
+    return certify(draft, curve.space, curve.bundle, cases, first)[0]
 
 
-@register_replay("extension_tail")
-def _replay_extension_tail(space, bundle, cert):
-    prev, point, _, _, bound = cert.witness
-    return abs(float(bundle.time(point) - bundle.time(prev))) > bound
+@predicate("extension_tail")
+def _extension_tail(space, bundle, cert, prev, point, n, _gap, bound):
+    gap = abs(float(bundle.time(point) - bundle.time(prev)))
+    return (prev, point, n, gap, bound), gap > bound
 
 
 def _null_branch_curve(space, bundle, p, q, c, depth):
     """Curve for a null-related pair: the backend's causal path, dyadically sampled."""
     denom = 1 << depth
-    if isinstance(space, CausalSetSpace):
+    if space.is_discrete:
         path = space.directed_path(p, q)
         last = len(path) - 1
         points = [path[(i * last) // denom] for i in range(denom + 1)]

@@ -18,12 +18,11 @@ fixed offset ladder and a raster fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import (Certificate, DEFAULT_SEED, FAIL, PASS, PiecewiseCausalCurve,
-                   Space, TimeFunctionBundle, make_rng, register_replay,
-                   resolve_tol)
+from .core import (Certificate, DEFAULT_SEED, PiecewiseCausalCurve, Space,
+                   TimeFunctionBundle, certify, make_rng, predicate, resolve_tol)
 from .errors import (CurveTooShort, DegenerateStrip, MidpointBoundsViolated,
                      NotARealizer, NotChronological, UnsupportedBackend)
 from .spaces import PlaneFrame
@@ -116,7 +115,7 @@ class LensStrip:
         Only available on R^{1,1}; for epsilon = 0 both arcs collapse to the
         exact midpoint.
         """
-        if not (self.space.is_minkowski_like and len(self.p) == 2):
+        if self.space.is_discrete or len(self.p) != 2:
             raise UnsupportedBackend("boundary curves are only drawn on R^{1,1}")
         if self.epsilon == 0:
             m = PlaneFrame(self.p, self.q).midpoint()
@@ -178,11 +177,6 @@ def _hyperbola_arc(space, p, q, radius, samples, from_past):
     return [at(lo + (hi - lo) * i / (samples - 1)) for i in range(samples)]
 
 
-def lens_strip_geometry(space: Space, bundle: TimeFunctionBundle, p, q,
-                        epsilon: float, c: float, tol=None) -> LensStrip:
-    return LensStrip(space, bundle, p, q, epsilon, c, tol)
-
-
 # -- search -------------------------------------------------------------------
 
 
@@ -235,9 +229,8 @@ def _midpoint_search(space, bundle, p, q, eps, c, tol):
         # The exact solution is unique on flat backends; reject it when it
         # collapses onto a removed point (up to a rounding guard).
         guard = max(tol, 1e-12)
-        removed = getattr(space, "removed", frozenset())
         near_puncture = any(max(abs(e - r) for e, r in zip(exact, rp)) <= guard
-                            for rp in removed)
+                            for rp in space.removed)
         if near_puncture or not feasible(exact):
             return None
         return exact
@@ -323,43 +316,30 @@ def certify_compatibility(space: Space, bundle: TimeFunctionBundle, c: float,
         raise ValueError("compatibility constant must lie in (0, 1/2]")
     tol = resolve_tol(space, tol)
     pairs = space.sample_chronological_pairs(make_rng(seed), sample_budget)
-    slack = 0 if space.is_discrete else tol
-    violations = []
-    best_values = []
-    without_midpoint = 0
-    for a, b in pairs:
-        eps = float(space.tau(a, b)) * epsilon_hat
-        found = _best_midpoint(space, bundle, a, b, eps, tol)
-        if found is None:
-            without_midpoint += 1
-            continue
-        y, best_c = found
-        best_values.append(best_c)
-        if best_c < c - slack:
-            violations.append((a, b, best_c, y))
-    verdict = PASS if not violations else FAIL
-    witness = None if not violations else sorted(violations, key=lambda w: tuple(map(str, w)))[0]
-    data = {
-        "pairs_checked": len(pairs) - without_midpoint,
-        "pairs_without_midpoint": without_midpoint,
+    draft = Certificate("compatibility", None, float(tol), len(pairs), seed,
+                        data={"epsilon_hat": epsilon_hat, "c": c})
+    cert, completed = certify(draft, space, bundle, [(a, b, None, None) for a, b in pairs],
+                              count=False)
+    best_values = [w[2] for w in completed if w[2] is not None]
+    return replace(cert, data={
+        **cert.data,
+        "pairs_checked": len(best_values),
+        "pairs_without_midpoint": len(pairs) - len(best_values),
         "best_c_min": min(best_values) if best_values else None,
         "best_c_values": best_values,
-        "epsilon_hat": epsilon_hat,
-        "c": c,
-    }
-    return Certificate("compatibility", verdict, float(tol), len(pairs), seed, witness, data)
+    })
 
 
-@register_replay("compatibility")
-def _replay_compatibility(space, bundle, cert):
-    a, b, _, _ = cert.witness
+@predicate("compatibility")
+def _compatibility(space, bundle, cert, a, b, _best_c, _midpoint):
     eps = float(space.tau(a, b)) * cert.data["epsilon_hat"]
-    tol = cert.tolerance if not space.is_discrete else 0
-    found = _best_midpoint(space, bundle, a, b, eps, tol)
+    found = _best_midpoint(space, bundle, a, b, eps, cert.tolerance)
     if found is None:
-        return True
+        # An empty lens fails midpoint existence, which compatibility assumes.
+        return (a, b, None, None), False
+    y, best_c = found
     slack = 0 if space.is_discrete else cert.tolerance
-    return found[1] < cert.data["c"] - slack
+    return (a, b, best_c, y), best_c < cert.data["c"] - slack
 
 
 def lens_in_strip_epsilon(space: Space, bundle: TimeFunctionBundle, p, q, c: float,
@@ -372,7 +352,7 @@ def lens_in_strip_epsilon(space: Space, bundle: TimeFunctionBundle, p, q, c: flo
     interior.  Raises DegenerateStrip at c = 1/2 (containment then holds
     only in the exact-midpoint limit).
     """
-    if not (space.is_minkowski_like and len(p) == 2):
+    if space.is_discrete or len(p) != 2:
         raise UnsupportedBackend("lens containment search runs on R^{1,1}")
     if not space.chronological(p, q):
         raise NotChronological(f"{p} and {q} are not chronologically related")

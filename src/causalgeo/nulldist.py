@@ -27,9 +27,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import (FUTURE, PAST, Certificate, DEFAULT_SEED, FAIL, PASS,
-                   PiecewiseCausalCurve, Space, TimeFunctionBundle, make_rng,
-                   register_replay, resolve_tol)
+from .core import (FUTURE, PAST, Certificate, DEFAULT_SEED, PiecewiseCausalCurve,
+                   Space, TimeFunctionBundle, certify, make_rng, predicate,
+                   resolve_tol)
 from .errors import BudgetExceeded, NotConnected, UnsupportedBackend
 from .spaces import CausalSetSpace, PlaneFrame
 
@@ -268,11 +268,11 @@ def null_distance(space: Space, bundle: TimeFunctionBundle, p, q,
         method = "graph" if space.is_discrete else "zigzag"
 
     if method == "graph":
-        if not isinstance(space, CausalSetSpace):
+        if not space.is_discrete:
             raise UnsupportedBackend("graph method needs a causal-set backend")
         return _graph(space, bundle, p, q)
     if method == "zigzag":
-        if not space.is_minkowski_like:
+        if space.is_discrete:
             raise UnsupportedBackend("zigzag method needs a flat backend")
         if p == q:
             return NullDistanceResult(0.0, PiecewiseCausalCurve(space, (p,), ()),
@@ -300,8 +300,6 @@ def null_distance_oracle(space: Space, bundle: TimeFunctionBundle, p, q,
     """
     if space.is_discrete:
         return _exhaustive_walks(space, bundle, p, q, budget)
-    if not space.is_minkowski_like:
-        raise UnsupportedBackend("oracle supports causal sets and flat backends")
     if resolution is None:
         raise ValueError("flat-backend oracle needs a grid resolution")
     if len(p) != 2:
@@ -428,57 +426,45 @@ def check_metric_axioms(space: Space, bundle: TimeFunctionBundle, sample_budget:
     """
     tol = resolve_tol(space, tol)
     rng = make_rng(seed)
-
-    def dist(a, b):
-        try:
-            return null_distance(space, bundle, a, b).value
-        except NotConnected:
-            return math.inf
-
     pairs = list(extra_pairs)
     pts = space.sample_points(rng, max(2 * sample_budget, 4))
     for i in range(sample_budget):
         pairs.append((pts[2 * i], pts[2 * i + 1]))
     triples_pts = space.sample_points(rng, 3 * sample_budget)
     triples = [tuple(triples_pts[3 * i: 3 * i + 3]) for i in range(sample_budget)]
-
-    violations = []
-    for a, b in pairs:
-        d_ab, d_ba = dist(a, b), dist(b, a)
-        if d_ab != math.inf and abs(d_ab - d_ba) > tol:
-            violations.append(("symmetry", a, b, abs(d_ab - d_ba)))
-        if a != b and d_ab <= tol:
-            violations.append(("definiteness", a, b, d_ab))
-    for a, b, c in triples:
-        d_ac, d_ab, d_bc = dist(a, c), dist(a, b), dist(b, c)
-        if d_ab == math.inf or d_bc == math.inf:
-            continue
-        if d_ac > d_ab + d_bc + tol:
-            violations.append(("triangle", a, b, c, d_ac - (d_ab + d_bc)))
-    verdict = PASS if not violations else FAIL
-    witness = None if not violations else sorted(violations, key=lambda w: tuple(map(str, w)))[0]
-    return Certificate("metric_axioms", verdict, float(tol),
-                       len(pairs) + len(triples), seed, witness,
-                       {"pairs": len(pairs), "triples": len(triples),
-                        "violations": len(violations)})
+    cases = ([(None, a, b, None) for a, b in pairs]
+             + [("triangle", a, b, c, None) for a, b, c in triples])
+    draft = Certificate("metric_axioms", None, float(tol), len(pairs) + len(triples), seed,
+                        data={"pairs": len(pairs), "triples": len(triples)})
+    return certify(draft, space, bundle, cases)[0]
 
 
-@register_replay("metric_axioms")
-def _replay_metric_axioms(space, bundle, cert):
-    kind = cert.witness[0]
-    if kind == "symmetry":
-        _, a, b, _ = cert.witness
-        d1 = null_distance(space, bundle, a, b).value
-        d2 = null_distance(space, bundle, b, a).value
-        return abs(d1 - d2) > cert.tolerance
-    if kind == "definiteness":
-        _, a, b, _ = cert.witness
-        return a != b and null_distance(space, bundle, a, b).value <= cert.tolerance
-    _, a, b, c, _ = cert.witness
-    d_ac = null_distance(space, bundle, a, c).value
-    d_ab = null_distance(space, bundle, a, b).value
-    d_bc = null_distance(space, bundle, b, c).value
-    return d_ac > d_ab + d_bc + cert.tolerance
+def _distance(space, bundle, a, b):
+    try:
+        return null_distance(space, bundle, a, b).value
+    except NotConnected:
+        return math.inf
+
+
+@predicate("metric_axioms")
+def _metric_axioms(space, bundle, cert, kind, a, b, *rest):
+    """Kind None checks symmetry and definiteness of a pair with one d(a, b)."""
+    tol = cert.tolerance
+    if kind == "triangle":
+        c = rest[0]
+        d_ac = _distance(space, bundle, a, c)
+        d_ab = _distance(space, bundle, a, b)
+        d_bc = _distance(space, bundle, b, c)
+        excess = d_ac - (d_ab + d_bc)
+        return ("triangle", a, b, c, excess), math.inf not in (d_ab, d_bc) and excess > tol
+    d_ab = _distance(space, bundle, a, b)
+    found = []
+    if kind in (None, "symmetry"):
+        diff = abs(d_ab - _distance(space, bundle, b, a))
+        found.append((("symmetry", a, b, diff), d_ab != math.inf and diff > tol))
+    if kind in (None, "definiteness"):
+        found.append((("definiteness", a, b, d_ab), a != b and d_ab <= tol))
+    return found if kind is None else found[0]
 
 
 def validate_analytic_fast_path(space: Space, bundle: TimeFunctionBundle,
@@ -492,21 +478,12 @@ def validate_analytic_fast_path(space: Space, bundle: TimeFunctionBundle,
     pts = space.sample_points(rng, 2 * sample_budget)
     related = space.sample_causal_pairs(rng, sample_budget // 2)
     pairs = list(zip(pts[0::2], pts[1::2])) + related
-    violations = []
-    for a, b in pairs:
-        cand = minkowski_analytic_candidate(bundle, a, b)
-        ref = null_distance(space, bundle, a, b).value
-        if abs(cand - ref) > tol:
-            violations.append((a, b, cand, ref))
-    verdict = PASS if not violations else FAIL
-    witness = None if not violations else sorted(violations, key=lambda w: tuple(map(str, w)))[0]
-    return Certificate("analytic_fast_path", verdict, float(tol), len(pairs), seed, witness,
-                       {"violations": len(violations)})
+    draft = Certificate("analytic_fast_path", None, float(tol), len(pairs), seed)
+    return certify(draft, space, bundle, [(a, b, None, None) for a, b in pairs])[0]
 
 
-@register_replay("analytic_fast_path")
-def _replay_analytic(space, bundle, cert):
-    a, b, _, _ = cert.witness
+@predicate("analytic_fast_path")
+def _analytic_fast_path(space, bundle, cert, a, b, _cand, _ref):
     cand = minkowski_analytic_candidate(bundle, a, b)
     ref = null_distance(space, bundle, a, b).value
-    return abs(cand - ref) > cert.tolerance
+    return (a, b, cand, ref), abs(cand - ref) > cert.tolerance

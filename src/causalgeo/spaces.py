@@ -37,8 +37,8 @@ class MinkowskiSpace(Space):
     final element of a certified Cauchy sequence.
     """
 
-    is_discrete = False
-    is_minkowski_like = True
+    # No point is missing from the universe; PuncturedMinkowski sets its own.
+    removed = frozenset()
 
     def __init__(self, spatial_dimension: int = 1, window=((-2.0, 2.0), 2.0)):
         if spatial_dimension < 1:

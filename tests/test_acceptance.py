@@ -16,7 +16,7 @@ from causalgeo import (CausalSetSpace, MidpointQuery, MinkowskiSpace,
                        certify_compatibility, check_chronology,
                        check_realizer, check_subsequent_bound, find_midpoint,
                        is_eps_tau_midpoint, lens_in_strip_epsilon,
-                       lens_strip_geometry, null_distance, null_distance_oracle,
+                       null_distance, null_distance_oracle,
                        replay, sprinkle_causet, synthesize_geodesic)
 from causalgeo.core import make_rng
 from causalgeo.errors import MidpointUnavailable, NotConnected
@@ -138,7 +138,7 @@ def test_criterion_4_lens_in_strip_and_golden_figure():
             if not lens.in_strip(y):
                 violations += 1
 
-    svg = lens_figure_svg(lens_strip_geometry(space, bundle, p, q, eps_star, c), 200)
+    svg = lens_figure_svg(LensStrip(space, bundle, p, q, eps_star, c), 200)
     golden = open(GOLDEN).read()
     numbers = re.compile(r"-?\d+\.\d+")
     got = [float(tok) for tok in numbers.findall(svg)]

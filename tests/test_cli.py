@@ -343,3 +343,41 @@ class TestGoldenZigzag:
                    "--out", str(out)) == 0
         with open(os.path.join(golden, "certify_flat", "certificates.json"), "rb") as fh:
             assert (out / "certificates.json").read_bytes() == fh.read()
+
+
+class TestPerCommandFlags:
+    """A subcommand accepts only the flags whose config keys it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--c", "0.1", "--epsilon-hat", "0.3"],
+        ["lens", "--c", "0.2"],
+    ])
+    def test_flags_of_other_sections_are_rejected(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_documented_command_lines_parse(self, tmp_path):
+        import shlex
+        import sys
+
+        from causalgeo.cli import _build_parser
+        root = os.path.dirname(os.path.dirname(__file__))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+            lines = [shlex.split(m.group(1))
+                     for m in re.finditer(r"^causalgeo (.+)$", fh.read(), re.M)]
+        assert len(lines) == 5
+        sys.path.insert(0, os.path.join(root, "perfbench"))
+        try:
+            from workloads import WORKLOADS
+        finally:
+            sys.path.pop(0)
+        for workload in WORKLOADS.values():
+            lines += workload.setup_cli(str(tmp_path))
+            lines += [argv for argv, _ in workload.round(str(tmp_path))]
+        assert {argv[0] for argv in lines} == {"geodesic", "nulldist", "lens", "certify",
+                                               "causet"}
+        parser = _build_parser()
+        for argv in lines:
+            parser.parse_args(argv)

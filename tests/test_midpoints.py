@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from causalgeo import (CausalSetSpace, MidpointQuery, MinkowskiSpace,
+from causalgeo import (CausalSetSpace, LensStrip, MidpointQuery, MinkowskiSpace,
                        PiecewiseCausalCurve, approximate_midpoint_from_curve,
                        canonical_time_bundle, certify_compatibility,
                        find_midpoint, is_eps_tau_midpoint, lens_in_strip_epsilon,
-                       lens_strip_geometry, midpoint_from_realizer, replay)
+                       midpoint_from_realizer, replay)
 from causalgeo.core import make_rng
 from causalgeo.errors import (CurveTooShort, DegenerateStrip,
                               MidpointBoundsViolated, NotARealizer,
@@ -93,19 +93,19 @@ class TestFindMidpoint:
 
 class TestLensStrip:
     def test_exact_lens_degenerates_to_midpoint(self, mink, mink_bundle):
-        lens = lens_strip_geometry(mink, mink_bundle, (0.0, 0.0), (4.0, 0.0), 0.0, 0.4)
+        lens = LensStrip(mink, mink_bundle, (0.0, 0.0), (4.0, 0.0), 0.0, 0.4)
         assert lens.in_lens((2.0, 0.0))
         assert not lens.in_lens((2.0, 0.1))
 
     def test_strip_levels_and_width(self, mink, mink_bundle):
-        lens = lens_strip_geometry(mink, mink_bundle, (0.0, 0.0), (4.0, 0.0), 0.1, 0.4)
+        lens = LensStrip(mink, mink_bundle, (0.0, 0.0), (4.0, 0.0), 0.1, 0.4)
         assert lens.strip_levels == (pytest.approx(1.6), pytest.approx(2.4))
         assert lens.strip_width == pytest.approx(0.2 * 4.0)
         assert lens.in_strip((2.0, 1.7))
         assert not lens.in_strip((1.5, 0.0))
 
     def test_half_strip_degenerates_to_line(self, mink, mink_bundle):
-        lens = lens_strip_geometry(mink, mink_bundle, (0.0, 0.0), (4.0, 0.0), 0.1, 0.5)
+        lens = LensStrip(mink, mink_bundle, (0.0, 0.0), (4.0, 0.0), 0.1, 0.5)
         assert lens.strip_levels[0] == pytest.approx(lens.strip_levels[1])
         assert lens.in_strip((2.0, 0.3))
         assert not lens.in_strip((2.1, 0.0))
@@ -113,7 +113,7 @@ class TestLensStrip:
     def test_boundary_points_lie_on_hyperbolas(self, mink, mink_bundle):
         p, q = (0.0, 0.0), (4.0, 0.0)
         eps = 0.25
-        lens = lens_strip_geometry(mink, mink_bundle, p, q, eps, 0.4)
+        lens = LensStrip(mink, mink_bundle, p, q, eps, 0.4)
         radius = 2.0 - eps
         polys = dict(lens.boundary_polylines(101))
         assert len(polys["lens_upper"]) == 101
@@ -124,7 +124,7 @@ class TestLensStrip:
             assert mink.tau(y, q) == pytest.approx(radius, abs=1e-9)
 
     def test_boundary_needs_flat_1plus1(self, diamond, diamond_bundle):
-        lens = lens_strip_geometry(diamond, diamond_bundle, "p", "q", 0.5, 0.25)
+        lens = LensStrip(diamond, diamond_bundle, "p", "q", 0.5, 0.25)
         assert lens.in_lens("a")
         with pytest.raises(UnsupportedBackend):
             lens.boundary_polylines()
@@ -132,8 +132,8 @@ class TestLensStrip:
     def test_lens_monotone_in_eps(self, mink, mink_bundle):
         rng = make_rng(13)
         p, q = (0.0, 0.0), (2.0, 0.0)
-        small = lens_strip_geometry(mink, mink_bundle, p, q, 0.05, 0.4)
-        large = lens_strip_geometry(mink, mink_bundle, p, q, 0.2, 0.4)
+        small = LensStrip(mink, mink_bundle, p, q, 0.05, 0.4)
+        large = LensStrip(mink, mink_bundle, p, q, 0.2, 0.4)
         hits = 0
         for _ in range(500):
             y = (rng.uniform(0.0, 2.0), rng.uniform(-1.0, 1.0))
@@ -145,8 +145,8 @@ class TestLensStrip:
     def test_strip_antitone_in_c(self, mink, mink_bundle):
         rng = make_rng(14)
         p, q = (0.0, 0.0), (2.0, 0.0)
-        loose = lens_strip_geometry(mink, mink_bundle, p, q, 0.1, 0.1)
-        tight = lens_strip_geometry(mink, mink_bundle, p, q, 0.1, 0.45)
+        loose = LensStrip(mink, mink_bundle, p, q, 0.1, 0.1)
+        tight = LensStrip(mink, mink_bundle, p, q, 0.1, 0.45)
         hits = 0
         for _ in range(500):
             y = (rng.uniform(0.0, 2.0), rng.uniform(-1.0, 1.0))
@@ -175,12 +175,11 @@ class TestLensInStrip:
     def test_boosted_pair_containment_verifies(self, mink, mink_bundle):
         # Off-axis pairs put the lens extrema at hyperbola-hyperbola
         # intersections; the search still has to verify containment there.
-        from causalgeo import lens_strip_geometry
         p, q = (0.0, 0.0), (4.0, 1.5)
         eps = lens_in_strip_epsilon(mink, mink_bundle, p, q, 0.4,
                                     rejection_samples=2000)
         assert eps > 0
-        lens = lens_strip_geometry(mink, mink_bundle, p, q, eps, 0.4, tol=0.0)
+        lens = LensStrip(mink, mink_bundle, p, q, eps, 0.4, tol=0.0)
         for _, poly in lens.boundary_polylines(301):
             assert all(lens.in_strip(y) for y in poly)
 
