@@ -23,12 +23,12 @@ import io
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import __version__
-from .core import check_anti_lipschitz, check_chronology, check_reverse_triangle
+from .core import (atomic_write, check_anti_lipschitz, check_chronology,
+                   check_reverse_triangle)
 from .errors import (CausalGeoError, ConfigError, DegenerateStrip,
                      MidpointUnavailable, NotConnected, UnsupportedBackend)
 from .figures import lens_boundary_rows, lens_figure_svg
@@ -167,8 +167,8 @@ class RunConfig:
             (1 <= geo["depth"] <= 24, "geodesic.depth must lie in [1, 24]"),
             (geo["mode"] in ("exact", "approximate"),
              "geodesic.mode must be exact|approximate"),
-            (self["nulldist"]["method"] in ("auto", "graph", "zigzag", "analytic"),
-             "nulldist.method must be auto|graph|zigzag|analytic"),
+            (self["nulldist"]["method"] in ("auto", "graph", "zigzag"),
+             "nulldist.method must be auto|graph|zigzag"),
             (0 < lens["c"] <= 0.5, "lens.c must lie in (0, 1/2]"),
             (lens["resolution"] >= 8, "lens.resolution must be >= 8"),
             (lens["epsilon"] == "auto" or lens["epsilon"] >= 0,
@@ -233,20 +233,6 @@ def build_bundle(config: RunConfig, space):
 
 
 # -- output helpers ---------------------------------------------------------------
-
-
-def atomic_write(path, text):
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def write_manifest(config: RunConfig, outdir, command):
@@ -416,7 +402,6 @@ def cmd_causet(config: RunConfig) -> int:
     if not space.is_discrete:
         raise ConfigError("causet command needs a causet or sprinkle backend")
     write_manifest(config, outdir, "causet")
-    os.makedirs(outdir, exist_ok=True)
     save_causet_json(space, os.path.join(outdir, "causet.json"))
     save_causet_csv(space, os.path.join(outdir, "vertices.csv"),
                     os.path.join(outdir, "edges.csv"))
@@ -442,7 +427,7 @@ _FLAGS = {
     "epsilon_hat": ("geodesic", "epsilon_hat", {"type": float,
                                                 "help": "relative midpoint tolerance"}),
     "mode": ("geodesic", "mode", {"choices": ["exact", "approximate"], "help": "synthesis mode"}),
-    "method": ("nulldist", "method", {"choices": ["auto", "graph", "zigzag", "analytic"],
+    "method": ("nulldist", "method", {"choices": ["auto", "graph", "zigzag"],
                                       "help": "null-distance method"}),
     "pairs": ("nulldist", "pairs_file", {"help": "CSV pair list for the nulldist command"}),
 }

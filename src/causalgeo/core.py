@@ -22,6 +22,8 @@ against the tolerance without adding it, so rationals stay exact.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -283,6 +285,22 @@ def jsonable(value):
     if isinstance(value, np.floating):
         return float(value)
     return str(value)
+
+
+def atomic_write(path, text):
+    """Write ``text`` to ``path`` through a temp file and a rename, so a
+    failed write leaves any previous file intact and no temp file behind."""
+    directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 PREDICATES = {}

@@ -15,9 +15,9 @@ Three computation routes are provided:
   time the route stops at the corner of a spacelike pair once its cost meets
   the lower bound max(|dt|, ||dx||); the search can only lose to it there.
 
-The closed form max(|dt|, ||dx||) for the coordinate time function is
-shipped as ``analytic`` but never auto-selected; it must be validated against
-an independent route first (:func:`validate_analytic_fast_path`).
+The closed form max(|dt|, ||dx||) for the coordinate time function
+(:func:`minkowski_analytic_candidate`) is not a route: it is checked against
+the default routes by :func:`validate_analytic_fast_path`.
 """
 
 from __future__ import annotations
@@ -133,8 +133,7 @@ def _zigzag(space, bundle, p, q) -> NullDistanceResult:
     into two spacelike halves that pay two nudges each, so the search could
     never replace the corner.  Other time functions, pairs with no surviving
     corner or whose corner misses the bound by more than the slack, and
-    related pairs (a split of the direct segment can undercut it by rounding)
-    keep the search.
+    related pairs (whose direct segment the search keeps) go to the search.
     """
     if bundle.canonical_minkowski:
         frame = PlaneFrame(p, q)
@@ -155,11 +154,19 @@ def _zigzag_result(space, best) -> NullDistanceResult:
 
 
 def _zigzag_search(space, bundle, p, q) -> NullDistanceResult:
-    """Nested optimization over two- and four-segment null zigzags."""
+    """Nested optimization over two- and four-segment null zigzags.
+
+    A related pair keeps its direct segment: it attains |dT|, which bounds
+    every piecewise causal curve from below, so a split could only undercut
+    it by rounding.
+    """
     frame = PlaneFrame(p, q)
     pp, qp = frame.p_plane, frame.q_plane
 
-    best = _best_two_segment(space, bundle, frame, p, q, pp, qp)
+    cands = _two_segment_candidates(space, bundle, frame, p, q, pp, qp)
+    if cands and len(cands[0][1]) == 2:
+        return _zigzag_result(space, cands[0])
+    best = min(cands, key=lambda c: c[0], default=None)
 
     def plane_at(lam):
         t = pp[0] + lam * (qp[0] - pp[0])
@@ -247,8 +254,7 @@ def null_distance(space: Space, bundle: TimeFunctionBundle, p, q,
     ``auto`` uses the exact causal-pair identity when p and q are related,
     the graph route on discrete backends and the zigzag route on flat ones.
     Forcing ``graph``/``zigzag`` recomputes related pairs the long way
-    (useful for cross-checking the identity); ``analytic`` must be requested
-    explicitly and is only admitted for the canonical time function.
+    (useful for cross-checking the identity).
     """
     if method == "auto":
         if p == q:
@@ -278,10 +284,6 @@ def null_distance(space: Space, bundle: TimeFunctionBundle, p, q,
             return NullDistanceResult(0.0, PiecewiseCausalCurve(space, (p,), ()),
                                       "zigzag")
         return _zigzag(space, bundle, p, q)
-    if method == "analytic":
-        value = minkowski_analytic_candidate(bundle, p, q)
-        reference = null_distance(space, bundle, p, q, method="auto")
-        return NullDistanceResult(value, reference.witness_curve, "analytic")
     raise ValueError(f"unknown method {method!r}")
 
 

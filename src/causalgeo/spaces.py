@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import json
 import math
 from bisect import bisect_right
@@ -25,7 +26,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import AntiLipschitzWitness, Space, TimeFunctionBundle
+from .core import AntiLipschitzWitness, Space, TimeFunctionBundle, atomic_write
 from .errors import CycleDetected, EmptySprinkle, NotComplete
 
 
@@ -205,11 +206,7 @@ class PuncturedMinkowski(MinkowskiSpace):
 
 
 def _as_fraction(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (Fraction, int, str)):
         return Fraction(value)
     return Fraction(float(value))
 
@@ -223,7 +220,8 @@ class CausalSetSpace(Space):
       chain), which satisfies the reverse triangle inequality by
       concatenation.
 
-    Edges are transitively reduced at load.  Per vertex x, the bitmask
+    The edges are kept exactly as given, so a direct edge heavier than a
+    chain it shortcuts sets tau.  Per vertex x, the bitmask
     ``_reach[x]`` holds every y with x <= y and ``_chron[x]`` every y with
     x << y (bit i is the i-th sorted id); related pairs and chains are
     indexed views over them.  Vertex times and weights are exact rationals.
@@ -234,7 +232,7 @@ class CausalSetSpace(Space):
 
     is_discrete = True
 
-    def __init__(self, vertices, edges, reduce: bool = True, name: str = "causet"):
+    def __init__(self, vertices, edges, name: str = "causet"):
         self.name = name
         t_map = {}
         order = []
@@ -264,47 +262,41 @@ class CausalSetSpace(Space):
             seen.add((src, dst))
             edge_list.append((src, dst, w))
 
-        self._topo = self._topological_order(edge_list)
-        for src, dst, _ in edge_list:
+        # Sorted edges fill both adjacencies already in neighbour-id order.
+        self.edges = tuple(sorted(edge_list))
+        out = {v: [] for v in self._ids}
+        into = {v: [] for v in self._ids}
+        for src, dst, w in self.edges:
+            out[src].append((dst, w))
+            into[dst].append((src, w))
+        self._out = {v: tuple(ws) for v, ws in out.items()}
+        self._in = {v: tuple(ws) for v, ws in into.items()}
+        self._topo = self._topological_order()
+        for src, dst, _ in self.edges:
             if self._t[dst] <= self._t[src]:
                 raise ValueError(
                     f"vertex time must strictly increase along edge ({src}, {dst})")
-        self._reach = self._reachability(edge_list)
-        if reduce:
-            edge_list = self._transitive_reduction(edge_list)
-        self.edges = tuple(sorted(edge_list))
-        self._out = {v: [] for v in self._ids}
-        self._in = {v: [] for v in self._ids}
-        for src, dst, w in self.edges:
-            self._out[src].append((dst, w))
-            self._in[dst].append((src, w))
-        for v in self._ids:
-            self._out[v] = tuple(sorted(self._out[v]))
-            self._in[v] = tuple(sorted(self._in[v]))
-        self._chron = {}
+        self._reach, self._chron = {}, {}
         for v in reversed(self._topo):
-            mask = 0
+            reach, chron = 1 << self._index[v], 0
             for w, weight in self._out[v]:
-                mask |= self._reach[w] if weight > 0 else self._chron[w]
-            self._chron[v] = mask
+                reach |= self._reach[w]
+                chron |= self._reach[w] if weight > 0 else self._chron[w]
+            self._reach[v], self._chron[v] = reach, chron
         self._longest_cache = {}
         self._time_graph = None
         self.sufficiently_causally_connected = self._check_connectedness()
 
     # -- construction helpers -------------------------------------------------
 
-    def _topological_order(self, edge_list):
-        indeg = {v: 0 for v in self._ids}
-        out = {v: [] for v in self._ids}
-        for src, dst, _ in edge_list:
-            indeg[dst] += 1
-            out[src].append(dst)
-        ready = sorted(v for v in self._ids if indeg[v] == 0)
+    def _topological_order(self):
+        indeg = {v: len(self._in[v]) for v in self._ids}
+        ready = [v for v in self._ids if indeg[v] == 0]
         order = []
         while ready:
             v = heapq.heappop(ready)
             order.append(v)
-            for w in out[v]:
+            for w, _ in self._out[v]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     heapq.heappush(ready, w)
@@ -312,36 +304,6 @@ class CausalSetSpace(Space):
             cycle = [v for v in self._ids if indeg[v] > 0]
             raise CycleDetected(cycle)
         return tuple(order)
-
-    def _reachability(self, edge_list):
-        out = {v: [] for v in self._ids}
-        for src, dst, _ in edge_list:
-            out[src].append(dst)
-        reach = {}
-        for v in reversed(self._topo):
-            mask = 1 << self._index[v]
-            for w in out[v]:
-                mask |= reach[w]
-            reach[v] = mask
-        return reach
-
-    def _transitive_reduction(self, edge_list):
-        # An edge (u, v) is redundant when another out-neighbour of u
-        # already reaches v.  Note this drops the direct weight in favour of
-        # chains through interior vertices (standard Hasse-diagram practice).
-        out = {v: [] for v in self._ids}
-        for src, dst, _ in edge_list:
-            out[src].append(dst)
-        kept = []
-        for src, dst, w in edge_list:
-            bit = 1 << self._index[dst]
-            redundant = any(
-                mid != dst and (self._reach[mid] & bit)
-                for mid in out[src]
-            )
-            if not redundant:
-                kept.append((src, dst, w))
-        return kept
 
     def _check_connectedness(self):
         if not self._ids:
@@ -629,9 +591,10 @@ def sprinkle_causet(diamond_corners, density: float, seed: int,
     """Poisson sprinkle of the causal diamond between two corners of R^{1,1}.
 
     Point count is Poisson(density * area); points are uniform in the
-    diamond (sampled exactly in null coordinates).  Edges are the Minkowski
-    causal relation, transitively reduced at load, weighted by the Minkowski
-    time separation of their endpoints; vertex time is the t coordinate.
+    diamond (sampled exactly in null coordinates).  Edges are the links of
+    the Minkowski causal order (its Hasse diagram: related pairs with no
+    sprinkled point between them), weighted by the Minkowski time separation
+    of their endpoints; vertex time is the t coordinate.
     """
     if density <= 0:
         raise ValueError("density must be positive")
@@ -663,10 +626,16 @@ def sprinkle_causet(diamond_corners, density: float, seed: int,
     width = max(3, len(str(len(pts) - 1)))
     ids = [f"v{i:0{width}d}" for i in range(len(pts))]
     vertices = [(vid, Fraction(pt[0])) for vid, pt in zip(ids, pts)]
+    # Sorted by (t, x), every point of a's causal future comes after a, and
+    # every point between a and b comes before b, so each later point that no
+    # link of a kept so far precedes is itself a link.
     edges = []
     for i, a in enumerate(pts):
-        for j, b in enumerate(pts):
-            if i != j and mink.causal_le(a, b) and a != b:
+        links = []
+        for j in range(i + 1, len(pts)):
+            b = pts[j]
+            if mink.causal_le(a, b) and not any(mink.causal_le(c, b) for c in links):
+                links.append(b)
                 edges.append((ids[i], ids[j], Fraction(mink.tau(a, b))))
     space = CausalSetSpace(vertices, edges, name=f"sprinkle(d={density},s={seed})")
     space.coordinates = {vid: pt for vid, pt in zip(ids, pts)}
@@ -694,9 +663,7 @@ def save_causet_json(space: CausalSetSpace, path):
         "edges": [{"src": s, "dst": d, "tau": _encode_rational(w)}
                   for s, d, w in space.edges],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_causet_json(path) -> CausalSetSpace:
@@ -707,17 +674,19 @@ def load_causet_json(path) -> CausalSetSpace:
     return CausalSetSpace(vertices, edges)
 
 
+def _csv_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def save_causet_csv(space: CausalSetSpace, vertices_path, edges_path):
-    with open(vertices_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "T"])
-        for v in space.vertices:
-            writer.writerow([v, _encode_rational(space.time_of(v))])
-    with open(edges_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "tau"])
-        for s, d, w in space.edges:
-            writer.writerow([s, d, _encode_rational(w)])
+    atomic_write(vertices_path, _csv_text(
+        ["id", "T"], ([v, _encode_rational(space.time_of(v))] for v in space.vertices)))
+    atomic_write(edges_path, _csv_text(
+        ["src", "dst", "tau"], ([s, d, _encode_rational(w)] for s, d, w in space.edges)))
 
 
 def load_causet_csv(vertices_path, edges_path) -> CausalSetSpace:

@@ -152,6 +152,14 @@ class TestNulldistCommand:
         assert abs(float(rows[2][2]) - 1.0) < 1e-9
         assert rows[2][3] == "zigzag"
 
+    def test_analytic_method_is_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[nulldist]\nmethod = analytic\n")
+        assert run("nulldist", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        with pytest.raises(SystemExit) as exc:
+            run("nulldist", "--method", "analytic", "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+
     def test_pairs_file_required(self, tmp_path):
         assert run("nulldist", "--out", str(tmp_path / "o")) == 2
 

@@ -1,5 +1,6 @@
 """Null distance: identities, zigzags, oracles, metric axioms."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -86,9 +87,12 @@ class TestAnalyticFastPath:
     def test_formula_matches_zigzag_after_validation(self, mink, mink_bundle):
         cert = validate_analytic_fast_path(mink, mink_bundle, sample_budget=100, seed=2)
         assert cert.passed
-        result = null_distance(mink, mink_bundle, (0.2, -0.4), (0.3, 0.9),
-                               method="analytic")
-        assert result.value == pytest.approx(1.3, abs=1e-12)
+        value = minkowski_analytic_candidate(mink_bundle, (0.2, -0.4), (0.3, 0.9))
+        assert value == pytest.approx(1.3, abs=1e-12)
+
+    def test_is_not_a_route(self, mink, mink_bundle):
+        with pytest.raises(ValueError, match="unknown method"):
+            null_distance(mink, mink_bundle, (0.2, -0.4), (0.3, 0.9), method="analytic")
 
     def test_requires_canonical_bundle(self, cubic_mink, cubic_bundle):
         with pytest.raises(UnsupportedBackend):
@@ -124,6 +128,19 @@ class TestZigzagCornerBound:
         assert result.witness_curve.orientations == full.witness_curve.orientations
         assert result.method == "zigzag"
         assert abs(result.value - minkowski_analytic_candidate(bundle, p, q)) <= 1e-9
+
+    def test_forced_zigzag_never_undercuts_related_pairs(self, mink, mink_bundle):
+        # |dT| bounds every piecewise causal curve from below, and the direct
+        # segment of a related pair attains it.
+        rng = random.Random(5)
+        pairs = [tuple((rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2))
+                 for _ in range(300)]
+        related = [(p, q) for p, q in pairs if mink.causal_le(p, q) or mink.causal_le(q, p)]
+        assert len(related) == 153
+        for p, q in related:
+            result = null_distance(mink, mink_bundle, p, q, method="zigzag")
+            assert result.value == abs(q[0] - p[0])
+            assert result.witness_curve.points == (p, q)
 
     def test_spacelike_pairs_skip_the_search(self, mink3, monkeypatch):
         def no_search(*args):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from fractions import Fraction
 from itertools import permutations
 
@@ -95,13 +96,23 @@ class TestCausetValidation:
         with pytest.raises(ValueError, match="unknown vertex"):
             CausalSetSpace([("a", 0)], [("a", "z", 1)])
 
-    def test_transitive_reduction_drops_redundant_edge(self):
-        space = CausalSetSpace(
-            [("p", 0), ("a", 1), ("q", 2)],
-            [("p", "a", 1), ("a", "q", 1), ("p", "q", 2)])
-        assert ("p", "q", Fraction(2)) not in space.edges
-        assert len(space.edges) == 2
+    def test_edges_are_kept_as_given(self):
+        edges = [("p", "a", 1), ("a", "q", 1), ("p", "q", 2)]
+        space = CausalSetSpace([("p", 0), ("a", 1), ("q", 2)], edges)
+        assert space.edges == tuple(sorted((s, d, Fraction(w)) for s, d, w in edges))
         assert space.tau("p", "q") == 2
+
+    def test_heavier_direct_edge_sets_tau(self):
+        space = CausalSetSpace([("a", 0), ("m", 1), ("b", 2)],
+                               [("a", "m", 1), ("m", "b", 1), ("a", "b", 5)])
+        assert len(space.edges) == 3
+        assert space.tau("a", "b") == 5
+
+    def test_positive_direct_edge_over_null_chain_is_chronological(self):
+        space = CausalSetSpace([("a", 0), ("m", 1), ("b", 2)],
+                               [("a", "m", 0), ("m", "b", 0), ("a", "b", 1)])
+        assert space.chronological("a", "b")
+        assert not space.chronological("a", "m")
 
     def test_reachability_matches_edge_closure(self, diamond):
         closure = {("p", "a"), ("p", "b"), ("p", "q"), ("a", "q"), ("b", "q")}
@@ -114,6 +125,33 @@ class TestCausetValidation:
         assert diamond.limit_point(["p", "a", "a"]) == "a"
         with pytest.raises(NotComplete):
             diamond.limit_point(["p", "a", "q"])
+
+
+def reference_links(ids, pts):
+    """Every causal pair as an edge, then the closure-based transitive reduction
+    that the causal-set constructor applied at load before sprinkles stored
+    their links."""
+    mink = MinkowskiSpace(1)
+    n = len(pts)
+    out = [[j for j in range(n) if j != i and mink.causal_le(pts[i], pts[j])]
+           for i in range(n)]
+    # Sorted by (t, x), every causal pair points forward, so reversed index
+    # order is a topological order.
+    assert all(j > i for i in range(n) for j in out[i])
+    reach = [0] * n
+    for i in reversed(range(n)):
+        reach[i] = 1 << i
+        for j in out[i]:
+            reach[i] |= reach[j]
+    edges = []
+    for i in range(n):
+        # (i, j) is redundant when another out-neighbour m of i reaches j.
+        beyond = 0
+        for m in out[i]:
+            beyond |= reach[m] ^ (1 << m)
+        edges.extend((ids[i], ids[j], Fraction(mink.tau(pts[i], pts[j])))
+                     for j in out[i] if not beyond >> j & 1)
+    return tuple(sorted(edges))
 
 
 class TestSprinkle:
@@ -132,6 +170,19 @@ class TestSprinkle:
         assert len(space.edges) == 1
         (src, dst, w) = space.edges[0]
         assert w == Fraction(1.0)
+
+    @pytest.mark.parametrize("density", [50, 100, 200, 400])
+    def test_links_match_reduced_causal_relation(self, density):
+        # The link scan assumes the float causal predicate is transitive on
+        # the sprinkled points; the reference assumes nothing of the kind.
+        mink = MinkowskiSpace(1)
+        for seed in range(20):
+            space = sprinkle_causet(((0.0, 0.0), (1.0, 0.0)), density, seed)
+            ids = space.vertices
+            pts = [space.coordinates[v] for v in ids]
+            assert space.edges == reference_links(ids, pts)
+            assert all(mink.tau(space.coordinates[s], space.coordinates[d]) == w
+                       for s, d, w in space.edges)
 
     def test_empty_sprinkle_without_corners(self):
         with pytest.raises(EmptySprinkle):
@@ -190,6 +241,24 @@ class TestSprinkle:
                         assert space.tau(x, z) >= space.tau(x, y) + space.tau(y, z)
 
 
+class _FailsMidway:
+    """A text file whose write stores half the text, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        raise OSError("disk full")
+
+
 class TestPersistence:
     def test_json_roundtrip(self, tmp_path, skewed_diamond):
         path = tmp_path / "causet.json"
@@ -239,6 +308,21 @@ class TestPersistence:
         assert loaded.edges == space.edges
         assert loaded.time_of("b") == Fraction(1, 3)
         assert ep.read_text().splitlines()[1:] == ["a,b,1/3", "b,c,2/3"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, fmt):
+        paths = ([tmp_path / "causet.json"] if fmt == "json"
+                 else [tmp_path / "vertices.csv", tmp_path / "edges.csv"])
+        save = save_causet_json if fmt == "json" else save_causet_csv
+        save(self.thirds(), *paths)
+        before = [p.read_bytes() for p in paths]
+        real_fdopen = os.fdopen
+        monkeypatch.setattr(os, "fdopen",
+                            lambda *args, **kw: _FailsMidway(real_fdopen(*args, **kw)))
+        with pytest.raises(OSError, match="disk full"):
+            save(sprinkle_causet(((0.0, 0.0), (1.0, 0.0)), density=40, seed=9), *paths)
+        assert [p.read_bytes() for p in paths] == before
+        assert sorted(os.listdir(tmp_path)) == sorted(p.name for p in paths)
 
     def test_decimal_cells_load_as_floats(self, tmp_path):
         # A file written before "p/q" cells existed keeps its meaning.
