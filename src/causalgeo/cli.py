@@ -32,7 +32,7 @@ from .core import (atomic_write, check_anti_lipschitz, check_chronology,
 from .errors import (CausalGeoError, ConfigError, DegenerateStrip,
                      MidpointUnavailable, NotConnected, UnsupportedBackend)
 from .figures import lens_boundary_rows, lens_figure_svg
-from .geodesic import synthesize_geodesic
+from .geodesic import MAX_DEPTH, synthesize_geodesic
 from .midpoints import LensStrip, certify_compatibility, lens_in_strip_epsilon
 from .nulldist import check_metric_axioms, null_distance, validate_analytic_fast_path
 from .spaces import (MinkowskiSpace, PuncturedMinkowski,
@@ -164,7 +164,7 @@ class RunConfig:
             (0 < geo["c"] <= 0.5, "geodesic.c must lie in (0, 1/2]"),
             (geo["epsilon"] >= 0, "geodesic.epsilon must be nonnegative"),
             (geo["epsilon_hat"] >= 0, "geodesic.epsilon_hat must be nonnegative"),
-            (1 <= geo["depth"] <= 24, "geodesic.depth must lie in [1, 24]"),
+            (1 <= geo["depth"] <= MAX_DEPTH, f"geodesic.depth must lie in [1, {MAX_DEPTH}]"),
             (geo["mode"] in ("exact", "approximate"),
              "geodesic.mode must be exact|approximate"),
             (self["nulldist"]["method"] in ("auto", "graph", "zigzag"),
@@ -266,6 +266,16 @@ def _write_certs(certs, outdir):
     atomic_write(os.path.join(outdir, "summary.txt"), _summary_table(certs))
 
 
+def _remove_stale(outdir, *names):
+    """Delete outputs an earlier run left in ``outdir`` that this run's outcome
+    does not write, so every file beside ``manifest.json`` is this run's."""
+    for name in names:
+        try:
+            os.remove(os.path.join(outdir, name))
+        except FileNotFoundError:
+            pass
+
+
 def _point_label(point):
     """'t;x[;...]' with shortest round-tripping floats, so labels parse back."""
     if isinstance(point, tuple):
@@ -283,6 +293,9 @@ def cmd_geodesic(config: RunConfig) -> int:
     geo = config["geodesic"]
     p = check_point(space, geo["p"], "geodesic.p")
     q = check_point(space, geo["q"], "geodesic.q")
+    if p != q and not space.causal_le(p, q):
+        raise ConfigError(f"geodesic.p = {p!r} does not causally precede "
+                          f"geodesic.q = {q!r}")
     epsilon = geo["epsilon"]
     if geo["mode"] == "approximate" and epsilon == 0.0:
         if geo["epsilon_hat"] <= 0:
@@ -303,11 +316,12 @@ def cmd_geodesic(config: RunConfig) -> int:
         }
         atomic_write(os.path.join(outdir, "failure.json"),
                      json.dumps(failure, indent=2, sort_keys=True) + "\n")
+        _remove_stale(outdir, "curve.json", "certificates.json", "summary.txt")
         print(f"geodesic synthesis failed: {exc}", file=sys.stderr)
         return 1
-    atomic_write(os.path.join(outdir, "curve.json"),
-                 json.dumps(curve.as_dict(), indent=2, sort_keys=True) + "\n")
+    atomic_write(os.path.join(outdir, "curve.json"), curve.json_chunks())
     _write_certs(certs, outdir)
+    _remove_stale(outdir, "failure.json")
     ok = all(cert.passed for cert in certs.values())
     print(_summary_table(certs), end="")
     return 0 if ok else 1

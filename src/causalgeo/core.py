@@ -288,14 +288,18 @@ def jsonable(value):
 
 
 def atomic_write(path, text):
-    """Write ``text`` to ``path`` through a temp file and a rename, so a
-    failed write leaves any previous file intact and no temp file behind."""
+    """Write ``text``, a string or an iterable of string chunks, to ``path``
+    through a temp file and a rename, so a failed write (or a chunk iterator
+    that raises) leaves any previous file intact and no temp file behind."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -39,11 +39,12 @@ class NotConnected(CausalGeoError):
 
 
 class BudgetExceeded(CausalGeoError):
-    """A search ran out of budget; ``best`` carries the best value found."""
+    """A request exceeds a resource budget, or a search ran out of budget;
+    ``best`` then carries the best value found."""
 
-    def __init__(self, message, best):
+    def __init__(self, message, best=None):
         self.best = best
-        super().__init__(f"{message} (best value so far: {best})")
+        super().__init__(message if best is None else f"{message} (best value so far: {best})")
 
 
 class NotChronological(CausalGeoError):

@@ -28,20 +28,31 @@ floating-point parameter ever selects a point.
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .core import (Certificate, DEFAULT_SEED, Space, TimeFunctionBundle, certify,
                    first, make_rng, predicate, resolve_tol)
-from .errors import (CauchyBudget, CausalGeoError, MidpointUnavailable,
+from .errors import (BudgetExceeded, CauchyBudget, CausalGeoError, MidpointUnavailable,
                      NotChronological)
-from .midpoints import MidpointQuery, find_midpoint
+# find_midpoint is not called here; perfbench's tracer looks it up by this name.
+# Drop it when the tracer wraps _search_with_taus instead (ROADMAP item 3).
+from .midpoints import _search_with_taus, find_midpoint  # noqa: F401
 
 EXACT = "exact"
 APPROXIMATE = "approximate"
 NULL = "null"
+
+# The deepest curve a build accepts.  Time and memory double with each level:
+# an exact Minkowski 1+2 `causalgeo geodesic` run with every certificate took
+# 3 s and 94 MB at depth 18 and 12 s and 287 MB at depth 20 on a shared
+# 2-core machine (28 s when it was busy), so one level more would pass half
+# a gigabyte.
+MAX_DEPTH = 20
 
 
 @dataclass(frozen=True)
@@ -53,6 +64,9 @@ class DyadicCurve:
     from every such dyadic (as a ``Fraction``) to its point.  The curve
     keeps references to its space and time-function bundle so checkers and
     the continuous extension need no extra context.
+
+    ``json_chunks`` streams the text of ``curve.json``; ``as_dict`` builds
+    the same payload as dicts, for the library and ``from_dict``.
     """
 
     space: Space
@@ -120,6 +134,29 @@ class DyadicCurve:
             "values": entries,
         }
 
+    def json_chunks(self):
+        """The text of ``json.dumps(self.as_dict(), indent=2, sort_keys=True)``
+        plus a newline: a header, one chunk per values entry, and a footer.
+
+        Neither the entry dicts nor the whole text is built: each chunk is
+        formatted the way the json encoder would format it.
+        """
+        yield "".join([
+            "{\n",
+            *(f'  "{key}": {json.dumps(value)},\n' for key, value in (
+                ("c", self.c), ("depth", self.depth),
+                ("epsilon", self.epsilon), ("mode", self.mode))),
+            f'  "p": {_point_json(self.p, 2)},\n',
+            f'  "q": {_point_json(self.q, 2)},\n',
+            '  "values": [\n'])
+        depth, sep = self.depth, ""
+        for i, point in enumerate(self.points):
+            shift = (i & -i).bit_length() - 1 if i else depth
+            yield (f'{sep}    {{\n      "k": {i >> shift},\n      "n": {depth - shift},'
+                   f'\n      "point": {_point_json(point, 6)}\n    }}')
+            sep = ",\n"
+        yield "\n  ]\n}\n"
+
     @classmethod
     def from_dict(cls, space, bundle, payload):
         values = {}
@@ -153,6 +190,25 @@ def _encode_point(point):
     return str(point)
 
 
+def _point_json(point, indent):
+    """``json.dumps(_encode_point(point), indent=2)`` nested ``indent`` spaces deep."""
+    if not isinstance(point, tuple):
+        return encode_basestring_ascii(str(point))
+    if not point:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    coords = [float(c) for c in point]
+    body = ("," + pad).join(map(float.__repr__, coords))
+    if "n" in body:
+        # Only "nan" and "inf" contain an n; json spells them NaN and Infinity.
+        body = ("," + pad).join([_NON_FINITE.get(text, text)
+                                 for text in map(float.__repr__, coords)])
+    return "[" + pad + body + "\n" + " " * indent + "]"
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _decode_point(space, encoded):
     if isinstance(encoded, list):
         return tuple(encoded)
@@ -167,8 +223,17 @@ def build_dyadic_curve(space: Space, bundle: TimeFunctionBundle, p, q, c: float,
     Raises MidpointUnavailable(level, pair) as soon as the midpoint oracle
     returns no admissible point, surfacing which hypothesis of the
     construction failed.  Branches whose endpoints have collapsed to a
-    single point (possible on finite backends) stop refining.
+    single point (possible on finite backends) stop refining.  A depth
+    above ``MAX_DEPTH`` raises BudgetExceeded before any work starts.
+
+    Each level keeps the tau of its adjacent pairs, in order: the search
+    that inserts a midpoint m between x and z returns tau(x, m) and
+    tau(m, z), which are the next level's entries and the parent tau of
+    its searches, and the level invariants read them too.  So every
+    adjacent tau is evaluated once, when its pair is created.
     """
+    if depth > MAX_DEPTH:
+        raise BudgetExceeded(f"depth {depth} exceeds the limit of {MAX_DEPTH} levels")
     if not 0 < c <= 0.5:
         raise ValueError("compatibility constant must lie in (0, 1/2]")
     if depth < 0:
@@ -183,59 +248,67 @@ def build_dyadic_curve(space: Space, bundle: TimeFunctionBundle, p, q, c: float,
             raise ValueError("approximate mode needs 0 < epsilon < tau(p, q)")
     else:
         epsilon = 0.0
+    tol = resolve_tol(space, tol)
 
     denom = 1 << depth
     points = [None] * (denom + 1)
     points[0], points[denom] = p, q
+    taus = [tau_pq]
+    broken = None
     for level in range(1, depth + 1):
         step = denom >> level
         level_eps = 0.0 if mode == EXACT else epsilon / (4 ** level)
-        for i in range(step, denom, 2 * step):
+        level_taus = []
+        for i, tau_xz in zip(range(step, denom, 2 * step), taus):
             x, z = points[i - step], points[i + step]
             if x == z:
+                # Both halves collapse too: the invariants skip them and no
+                # search reads their tau.
                 points[i] = x
+                level_taus += (0, 0)
                 continue
-            query = MidpointQuery(p=x, q=z, epsilon=level_eps, c=c)
-            try:
-                m = find_midpoint(space, bundle, query, tol=tol)
-            except NotChronological:
-                raise MidpointUnavailable(
-                    level, (x, z), "parents lost chronological order") from None
-            if m is None:
+            if not space.chronological(x, z):
+                raise MidpointUnavailable(level, (x, z), "parents lost chronological order")
+            found = _search_with_taus(space, bundle, x, z, level_eps, c, tol, tau_xz)
+            if found is None:
                 kind = "exact" if mode == EXACT else f"eps={level_eps:g}"
                 raise MidpointUnavailable(
                     level, (x, z),
                     f"no {kind} midpoint in the strip for c={c}; the backend lacks "
                     "strip-compatible midpoints for this pair")
-            points[i] = m
+            points[i], tau_xm, tau_mz = found
+            level_taus += (tau_xm, tau_mz)
+        taus = level_taus
+        # A midpoint missing at a deeper level outranks a broken invariant,
+        # so the first broken level is only raised once every level is built.
+        if broken is None:
+            broken = _level_invariant_error(points, step, taus, level, tau_pq,
+                                            epsilon, mode == EXACT, tol)
+    if broken is not None:
+        raise broken
+    return DyadicCurve(space, bundle, p, q, c, depth, mode, epsilon, points)
 
-    curve = DyadicCurve(space, bundle, p, q, c, depth, mode, epsilon, points)
-    _assert_level_invariants(curve, tol)
-    return curve
 
-
-def _assert_level_invariants(curve, tol):
-    space = curve.space
-    tol = resolve_tol(space, tol)
-    tau_pq = space.tau(curve.p, curve.q)
-    exact = curve.mode == EXACT
-    for level in range(1, curve.depth + 1):
-        target = tau_pq / (1 << level)
-        floor = (tau_pq - curve.epsilon) / (1 << level)
-        pts = curve.points[::1 << (curve.depth - level)]
-        for k, (a, b) in enumerate(zip(pts, pts[1:])):
-            if a == b:
-                continue
-            t = space.tau(a, b)
-            if exact and abs(t - target) > 4 * tol * (1 + float(tau_pq)):
-                problem = f"drifted from {float(target)}"
-            elif not exact and not t > floor - tol:
-                problem = f"below the level floor {float(floor)}"
-            else:
-                continue
-            a_param, b_param = Fraction(k, 1 << level), Fraction(k + 1, 1 << level)
-            raise CausalGeoError(
-                f"level {level} pair {a_param}..{b_param}: tau {float(t)} {problem}")
+def _level_invariant_error(points, step, taus, level, tau_pq, epsilon, exact, tol):
+    """The error for the first level-``level`` pair whose tau (``taus[k]`` for
+    the pair at indices ``k*step``, ``(k+1)*step``) leaves the level's target
+    (exact mode) or floor (approximate mode), or None."""
+    target = tau_pq / (1 << level)
+    floor = (tau_pq - epsilon) / (1 << level)
+    drift = 4 * tol * (1 + float(tau_pq))
+    for k, t in enumerate(taus):
+        if points[k * step] == points[(k + 1) * step]:
+            continue
+        if exact and abs(t - target) > drift:
+            problem = f"drifted from {float(target)}"
+        elif not exact and not t > floor - tol:
+            problem = f"below the level floor {float(floor)}"
+        else:
+            continue
+        a_param, b_param = Fraction(k, 1 << level), Fraction(k + 1, 1 << level)
+        return CausalGeoError(
+            f"level {level} pair {a_param}..{b_param}: tau {float(t)} {problem}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -498,6 +571,8 @@ def synthesize_geodesic(space: Space, bundle: TimeFunctionBundle, p, q, c: float
     property is trivial; only the causality and realizer certificates apply
     there.
     """
+    if depth > MAX_DEPTH:
+        raise BudgetExceeded(f"depth {depth} exceeds the limit of {MAX_DEPTH} levels")
     if p != q and not space.causal_le(p, q):
         raise ValueError("endpoints must satisfy p <= q")
     if depth < 1:

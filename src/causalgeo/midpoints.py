@@ -12,7 +12,10 @@ Midpoint search is deterministic: on finite backends an id-ordered
 enumeration; on flat backends the affine midpoint (p+q)/2, which is the
 unique exact tau-midpoint there, built in the p-q plane frame and rejected
 when it falls on a removed point, followed in the approximate case by a
-fixed offset ladder and a raster fallback.
+fixed offset ladder and a raster fallback.  Given tau(p,q), the search
+evaluates each candidate's two half-separations once and returns those of
+the point it selects; the dyadic build passes them on as the parent tau of
+the next level's searches, so no adjacent tau is evaluated twice.
 """
 
 from __future__ import annotations
@@ -64,9 +67,13 @@ def is_eps_tau_midpoint(space: Space, p, q, y, epsilon: float, tol=None) -> bool
     (exact on discrete backends).
     """
     tol = resolve_tol(space, tol)
-    half = space.tau(p, q) / 2
-    left = abs(space.tau(p, y) - half)
-    right = abs(space.tau(y, q) - half)
+    return _halves_within(space.tau(p, q) / 2, space.tau(p, y), space.tau(y, q),
+                          epsilon, tol)
+
+
+def _halves_within(half, tau_py, tau_yq, epsilon, tol):
+    """The midpoint inequalities for ``half = tau(p,q)/2`` and the two halves."""
+    left, right = abs(tau_py - half), abs(tau_yq - half)
     if epsilon == 0:
         return left <= tol and right <= tol
     return left < epsilon and right < epsilon
@@ -196,7 +203,19 @@ def _midpoint_search(space, bundle, p, q, eps, c, tol):
     vertex id (discrete) or lexicographically smallest coordinates (raster
     fallback on flat backends).
     """
+    found = _search_with_taus(space, bundle, p, q, eps, c, tol, space.tau(p, q))
+    return None if found is None else found[0]
+
+
+def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
+    """:func:`_midpoint_search` given ``tau_pq = tau(p, q)``.
+
+    Returns ``(y, tau(p, y), tau(y, q))`` for the selected point y, or None.
+    Each candidate's two half-separations are evaluated once and reused, so
+    a caller that refines the pair again needs no further tau.
+    """
     t_center = (bundle.time(p) + bundle.time(q)) / 2
+    half = tau_pq / 2
 
     def in_strip(y):
         if c is None:
@@ -208,20 +227,25 @@ def _midpoint_search(space, bundle, p, q, eps, c, tol):
         return c - slack <= u <= 1 - c + slack
 
     def feasible(y):
-        return (space.contains(y)
-                and is_eps_tau_midpoint(space, p, q, y, eps, tol)
-                and in_strip(y))
+        """``(y, tau(p, y), tau(y, q))`` when y is in the universe, the lens
+        and the strip, else None."""
+        if not space.contains(y):
+            return None
+        left, right = space.tau(p, y), space.tau(y, q)
+        if not (_halves_within(half, left, right, eps, tol) and in_strip(y)):
+            return None
+        return y, left, right
+
+    def most_central(found):
+        return min(found, key=lambda f: (abs(bundle.time(f[0]) - t_center), f[0]))
 
     if space.is_discrete:
         # Off the diamond J+(p) & J-(q) one half-separation is |0 - tau(p,q)/2|,
         # so when that misses the tolerance only diamond vertices can qualify.
-        half = space.tau(p, q) / 2
         off_diamond_infeasible = half >= eps if eps > 0 else half > tol
         pool = space.causal_diamond(p, q) if off_diamond_infeasible else space.points()
-        cands = [y for y in pool if feasible(y)]
-        if not cands:
-            return None
-        return min(cands, key=lambda y: (abs(bundle.time(y) - t_center), y))
+        found = [f for f in map(feasible, pool) if f is not None]
+        return most_central(found) if found else None
 
     frame = PlaneFrame(p, q)
     exact = frame.midpoint()
@@ -229,43 +253,39 @@ def _midpoint_search(space, bundle, p, q, eps, c, tol):
         # The exact solution is unique on flat backends; reject it when it
         # collapses onto a removed point (up to a rounding guard).
         guard = max(tol, 1e-12)
-        near_puncture = any(max(abs(e - r) for e, r in zip(exact, rp)) <= guard
-                            for rp in space.removed)
-        if near_puncture or not feasible(exact):
+        if any(max(abs(e - r) for e, r in zip(exact, rp)) <= guard
+               for rp in space.removed):
             return None
-        return exact
+        return feasible(exact)
 
-    if feasible(exact):
-        return exact
+    found = feasible(exact)
+    if found is not None:
+        return found
 
     def offset(dt, ds):
         return (exact[0] + dt, *(e + ds * u for e, u in zip(exact[1:], frame.unit)))
 
-    tau_pq = space.tau(p, q)
     sigma = min(eps, float(tau_pq) / 8)
     for k in range(-10, 4):
         r = sigma * (2.0 ** k)
         for cand in (offset(0.0, -r), offset(0.0, r), offset(-r, 0.0), offset(r, 0.0),
                      offset(-r, -r), offset(-r, r), offset(r, -r), offset(r, r)):
-            if feasible(cand):
-                return cand
+            found = feasible(cand)
+            if found is not None:
+                return found
 
     # Raster fallback over the lens bounding region, centered on the exact
     # solution, preferring time-centered then lexicographically small points.
-    half = float(tau_pq) / 2
+    reach = float(tau_pq) / 2
     best = None
     for _ in range(2):
-        grid = []
-        for i in range(41):
-            for j in range(41):
-                cand = offset(-half / 2 + half * i / 40, -half + 2 * half * j / 40)
-                if feasible(cand):
-                    grid.append(cand)
+        grid = [feasible(offset(-reach / 2 + reach * i / 40, -reach + 2 * reach * j / 40))
+                for i in range(41) for j in range(41)]
+        grid = [f for f in grid if f is not None]
         if grid:
-            cand = min(grid, key=lambda y: (abs(bundle.time(y) - t_center), y))
-            best = cand if best is None else min(
-                (best, cand), key=lambda y: (abs(bundle.time(y) - t_center), y))
-        half /= 4
+            cand = most_central(grid)
+            best = cand if best is None else most_central((best, cand))
+        reach /= 4
     return best
 
 
@@ -280,8 +300,10 @@ def find_midpoint(space: Space, bundle: TimeFunctionBundle, query: MidpointQuery
     if not space.chronological(p, q):
         raise NotChronological(f"{p} and {q} are not chronologically related")
     tol = resolve_tol(space, tol)
-    eps = query.effective_epsilon(space.tau(p, q))
-    return _midpoint_search(space, bundle, p, q, eps, query.c, tol)
+    tau_pq = space.tau(p, q)
+    found = _search_with_taus(space, bundle, p, q, query.effective_epsilon(tau_pq),
+                              query.c, tol, tau_pq)
+    return None if found is None else found[0]
 
 
 def _best_midpoint(space, bundle, p, q, eps, tol):

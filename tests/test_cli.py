@@ -4,10 +4,13 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-from causalgeo.cli import main
+from causalgeo.cli import RunConfig, main
+from causalgeo.geodesic import MAX_DEPTH
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "lens_default.svg")
 
@@ -84,6 +87,59 @@ class TestGeodesicCommand:
         assert run("geodesic", "--config", str(cfg), "--out", str(out),
                    "--depth", "4", "--mode", "approximate",
                    "--epsilon-hat", "0.1") == 0
+
+    def test_spacelike_endpoints_are_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[geodesic]\np = 0,0\nq = 0,1\n")
+        out = tmp_path / "o"
+        assert run("geodesic", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "geodesic.p" in err and "geodesic.q" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_depth_past_the_limit_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("geodesic", "--depth", str(MAX_DEPTH + 1), "--out", str(out)) == 2
+        assert f"[1, {MAX_DEPTH}]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_depth_at_the_limit_is_valid(self):
+        config = RunConfig()
+        config.set("geodesic", "depth", str(MAX_DEPTH))
+        config.validate()
+
+    PUNCTURED = "[backend]\nkind = punctured\nremoved = 1,0\n"
+
+    def _geodesic(self, tmp_path, out, succeed):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("" if succeed else self.PUNCTURED)
+        assert run("geodesic", "--config", str(cfg), "--out", str(out),
+                   "--depth", "4") == (0 if succeed else 1)
+
+    def test_failure_removes_outputs_of_an_earlier_success(self, tmp_path):
+        out = tmp_path / "o"
+        self._geodesic(tmp_path, out, succeed=True)
+        self._geodesic(tmp_path, out, succeed=False)
+        assert sorted(os.listdir(out)) == ["failure.json", "manifest.json"]
+        assert read_json(out / "manifest.json")["config"]["backend"]["kind"] == "punctured"
+
+    def test_success_removes_the_failure_record_of_an_earlier_run(self, tmp_path):
+        out = tmp_path / "o"
+        self._geodesic(tmp_path, out, succeed=False)
+        self._geodesic(tmp_path, out, succeed=True)
+        assert sorted(os.listdir(out)) == ["certificates.json", "curve.json",
+                                           "manifest.json", "summary.txt"]
+
+    def test_module_entry_point_runs_from_a_checkout(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "causalgeo", "geodesic", "--depth", "3", "--out", "o"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "subsequent_dyadic_bound" in proc.stdout
+        assert (tmp_path / "o" / "curve.json").exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         blobs, manifests = [], []
@@ -300,9 +356,12 @@ class TestPointLabels:
 class TestGoldenGeodesic:
     """Depth-5 runs whose outputs were recorded from the Fraction-keyed curve
     and the Newton midpoint solver; the index-backed curve and the closed-form
-    midpoint must reproduce them byte for byte."""
+    midpoint must reproduce them byte for byte.  The depth-10 run was
+    recorded from ``json.dumps`` of the whole curve, before it was streamed,
+    and before each adjacent tau was threaded through the build."""
 
-    @pytest.mark.parametrize("name", ["geodesic_exact_d5", "geodesic_punctured_d5"])
+    @pytest.mark.parametrize("name", ["geodesic_exact_d5", "geodesic_punctured_d5",
+                                      "geodesic_exact_d10"])
     def test_outputs_match_golden(self, tmp_path, name):
         golden = os.path.join(os.path.dirname(__file__), "golden")
         out = tmp_path / "o"

@@ -1,16 +1,21 @@
 """Dyadic synthesis: construction invariants, certificates, extension."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from causalgeo import (CausalSetSpace, DyadicCurve, build_dyadic_curve,
+from causalgeo import (CausalSetSpace, DyadicCurve, MinkowskiSpace, PuncturedMinkowski,
+                       build_dyadic_curve, canonical_time_bundle, causet_time_bundle,
                        check_causal_extension, check_holder, check_realizer,
                        check_subsequent_bound, extend_curve, is_eps_tau_midpoint,
                        replay, synthesize_geodesic)
-from causalgeo.errors import (CauchyBudget, MidpointUnavailable, NotChronological,
-                              NotComplete)
+from causalgeo.errors import (BudgetExceeded, CauchyBudget, MidpointUnavailable,
+                              NotChronological, NotComplete)
+from causalgeo.geodesic import MAX_DEPTH, _null_branch_curve
+from causalgeo.spaces import PlaneFrame
 
 P, Q = (0.0, 0.0), (2.0, 0.0)
 
@@ -317,3 +322,109 @@ class TestCurveSerialization:
         clone = DyadicCurve.from_dict(space, bundle, curve.as_dict())
         assert clone.values == curve.values
         assert clone.point_at(Fraction(1, 2)) == "v2"
+
+
+# -- streamed curve.json -----------------------------------------------------------
+
+
+@st.composite
+def flat_curves(draw):
+    """Exact or approximate curves on Minkowski 1+1, 1+2 and 1+3, some with
+    the affine midpoint of the endpoints punctured (approximate mode then
+    leaves the affine line)."""
+    dim = draw(st.integers(1, 3))
+    coord = st.floats(-2.0, 2.0, allow_nan=False)
+    p = tuple(draw(coord) for _ in range(dim + 1))
+    dt = draw(st.floats(0.1, 3.0))
+    q = (p[0] + dt, *(a + dt * draw(st.floats(-0.5, 0.5)) / dim for a in p[1:]))
+    mode = draw(st.sampled_from(["exact", "approximate"]))
+    if mode == "approximate" and draw(st.booleans()):
+        space = PuncturedMinkowski(dim, removed=[PlaneFrame(p, q).midpoint()])
+    else:
+        space = MinkowskiSpace(dim)
+    epsilon = 0.0
+    if mode == "approximate":
+        epsilon = draw(st.floats(0.05, 0.5)) * space.tau(p, q)
+    return build_dyadic_curve(space, canonical_time_bundle(space), p, q,
+                              c=draw(st.sampled_from([0.25, 0.4, 0.5])),
+                              depth=draw(st.integers(1, 8)), mode=mode, epsilon=epsilon)
+
+
+_ID_CHARS = st.sampled_from(['a', 'Z', '7', '"', '\\', '/', '\n', '\t', '\x00', 'é', 'ß',
+                             '\u2603', '\U0001f600', ' '])
+
+
+@st.composite
+def causet_curves(draw):
+    """Null-branch curves along a chain of vertices with awkward ids."""
+    ids = draw(st.lists(st.text(_ID_CHARS, min_size=1, max_size=5),
+                        min_size=2, max_size=6, unique=True))
+    space = CausalSetSpace([(v, i) for i, v in enumerate(ids)],
+                           [(a, b, 1) for a, b in zip(ids, ids[1:])])
+    return _null_branch_curve(space, causet_time_bundle(space), ids[0], ids[-1],
+                              0.5, draw(st.integers(1, 8)))
+
+
+@st.composite
+def null_flat_curves(draw):
+    space = MinkowskiSpace(2)
+    p = (draw(st.floats(-1.0, 1.0)), 0.0, 0.0)
+    dt = draw(st.floats(0.1, 2.0))
+    q = (p[0] + dt, dt, 0.0)
+    return _null_branch_curve(space, canonical_time_bundle(space), p, q, 0.5,
+                              draw(st.integers(1, 8)))
+
+
+@st.composite
+def raw_curves(draw):
+    """Stored points as given: non-finite floats and integer coordinates too."""
+    depth = draw(st.integers(1, 4))
+    coord = st.floats(allow_nan=True, allow_infinity=True) | st.integers(-10**20, 10**20)
+    points = [tuple(draw(st.lists(coord, min_size=0, max_size=3)))
+              for _ in range((1 << depth) + 1)]
+    space = MinkowskiSpace(2)
+    return DyadicCurve(space, canonical_time_bundle(space), points[0], points[-1],
+                       draw(st.floats(0.01, 0.5)), depth, "exact",
+                       draw(st.floats(allow_nan=True, allow_infinity=True)), points)
+
+
+class TestStreamedJson:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(flat_curves(), causet_curves(), null_flat_curves(), raw_curves()))
+    def test_chunks_equal_json_dumps(self, curve):
+        expected = json.dumps(curve.as_dict(), indent=2, sort_keys=True) + "\n"
+        assert "".join(curve.json_chunks()) == expected
+
+
+class TestTauBudget:
+    def test_each_adjacent_tau_is_evaluated_once(self, monkeypatch):
+        calls = []
+        plain = MinkowskiSpace.tau
+
+        def counted(self, x, y):
+            calls.append(None)
+            return plain(self, x, y)
+
+        monkeypatch.setattr(MinkowskiSpace, "tau", counted)
+        space = MinkowskiSpace(2)
+        depth = 10
+        build_dyadic_curve(space, canonical_time_bundle(space), (0.0, 0.0, 0.0),
+                           (2.0, 0.5, -0.3), c=0.5, depth=depth)
+        midpoints = (1 << depth) - 1
+        assert len(calls) <= 2 * midpoints + 4
+
+
+class TestDepthLimit:
+    def test_one_level_past_the_limit_is_refused_before_any_work(self, monkeypatch):
+        def no_geometry(*args):
+            raise AssertionError("the geometry was queried")
+
+        monkeypatch.setattr(MinkowskiSpace, "tau", no_geometry)
+        monkeypatch.setattr(MinkowskiSpace, "chronological", no_geometry)
+        monkeypatch.setattr(MinkowskiSpace, "causal_le", no_geometry)
+        space = MinkowskiSpace(1)
+        bundle = canonical_time_bundle(space)
+        with pytest.raises(BudgetExceeded, match=f"limit of {MAX_DEPTH} levels"):
+            build_dyadic_curve(space, bundle, P, Q, c=0.5, depth=MAX_DEPTH + 1)
+        with pytest.raises(BudgetExceeded, match=f"limit of {MAX_DEPTH} levels"):
+            synthesize_geodesic(space, bundle, P, Q, c=0.5, depth=MAX_DEPTH + 1)

@@ -11,6 +11,7 @@ import pytest
 from causalgeo import (CausalSetSpace, MinkowskiSpace,
                        load_causet_csv, load_causet_json, save_causet_csv,
                        save_causet_json, sprinkle_causet)
+from causalgeo.core import atomic_write
 from causalgeo.errors import CycleDetected, EmptySprinkle, NotComplete
 
 
@@ -323,6 +324,20 @@ class TestPersistence:
             save(sprinkle_causet(((0.0, 0.0), (1.0, 0.0)), density=40, seed=9), *paths)
         assert [p.read_bytes() for p in paths] == before
         assert sorted(os.listdir(tmp_path)) == sorted(p.name for p in paths)
+
+    def test_failed_chunked_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "curve.json"
+        atomic_write(path, iter(["{\n", "}\n"]))
+        assert path.read_text() == "{\n}\n"
+
+        def chunks():
+            yield "[\n"
+            raise OSError("chunk source failed")
+
+        with pytest.raises(OSError, match="chunk source failed"):
+            atomic_write(path, chunks())
+        assert path.read_text() == "{\n}\n"
+        assert os.listdir(tmp_path) == ["curve.json"]
 
     def test_decimal_cells_load_as_floats(self, tmp_path):
         # A file written before "p/q" cells existed keeps its meaning.
