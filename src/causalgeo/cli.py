@@ -196,11 +196,16 @@ def build_space(config: RunConfig):
     if kind == "punctured":
         return PuncturedMinkowski(backend["spatial_dimension"], backend["removed"], window)
     if kind == "causet":
-        if backend["causet_json"]:
-            return load_causet_json(backend["causet_json"])
-        if backend["vertices_csv"] and backend["edges_csv"]:
-            return load_causet_csv(backend["vertices_csv"], backend["edges_csv"])
-        raise ConfigError("causet backend needs causet_json or vertices_csv+edges_csv")
+        json_path, csv_paths = backend["causet_json"], (backend["vertices_csv"],
+                                                         backend["edges_csv"])
+        if not (json_path or all(csv_paths)):
+            raise ConfigError("causet backend needs causet_json or vertices_csv+edges_csv")
+        try:
+            return load_causet_json(json_path) if json_path else load_causet_csv(*csv_paths)
+        except (OSError, LookupError, TypeError, ValueError) as exc:
+            source = json_path or " and ".join(csv_paths)
+            raise ConfigError(f"cannot load the causal set from {source}: "
+                              f"{type(exc).__name__}: {exc}") from exc
     if kind == "sprinkle":
         return sprinkle_causet(backend["corners"], backend["density"],
                                config["run"]["seed"])
@@ -367,11 +372,15 @@ def cmd_lens(config: RunConfig) -> int:
     section = config["lens"]
     p = check_point(space, section["p"], "lens.p")
     q = check_point(space, section["q"], "lens.q")
+    if not space.chronological(p, q):
+        raise ConfigError(f"lens.p = {p!r} does not chronologically precede "
+                          f"lens.q = {q!r}")
     epsilon = section["epsilon"]
     if epsilon == "auto":
-        epsilon = lens_in_strip_epsilon(space, bundle, p, q, section["c"],
-                                        seed=config["run"]["seed"])
+        epsilon = lens_in_strip_epsilon(space, bundle, p, q, section["c"])
     lens = LensStrip(space, bundle, p, q, epsilon, section["c"])
+    if lens.epsilon >= lens.half:
+        raise ConfigError(f"lens.epsilon = {epsilon} must be below tau(p,q)/2 = {lens.half}")
     write_manifest(config, outdir, "lens")
     atomic_write(os.path.join(outdir, "lens.svg"),
                  lens_figure_svg(lens, section["resolution"]))

@@ -18,18 +18,6 @@ def _fmt(v):
     return f"{v:.6f}"
 
 
-def _time_level_to_t(bundle, level, x_ref, t_lo, t_hi):
-    """Invert T((t, x_ref)) = level by bisection (T is increasing in t)."""
-    lo, hi = t_lo - 1.0, t_hi + 1.0
-    for _ in range(80):
-        mid = (lo + hi) / 2.0
-        if bundle.time((mid, x_ref)) < level:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
-
-
 def lens_geometry(lens: LensStrip, samples: int = 200):
     """World-coordinate polylines for the figure: arcs, strip lines, axis."""
     p, q = lens.p, lens.q
@@ -44,10 +32,7 @@ def lens_geometry(lens: LensStrip, samples: int = 200):
     mid_x = (max(xs) + min(xs)) / 2.0
     x_lo, x_hi = mid_x - 0.5 * span - 0.18 * span, mid_x + 0.5 * span + 0.18 * span
 
-    lo_level, hi_level = lens.strip_levels
-    x_ref = p[1]
-    strip_lo_t = _time_level_to_t(lens.bundle, lo_level, x_ref, t_lo, t_hi)
-    strip_hi_t = _time_level_to_t(lens.bundle, hi_level, x_ref, t_lo, t_hi)
+    strip_lo_t, strip_hi_t = lens.strip_times()
     axis_x = x_lo + 0.06 * (x_hi - x_lo)
 
     polylines = list(arcs)

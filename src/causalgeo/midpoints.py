@@ -6,7 +6,8 @@ halves hold strictly within eps.  The eps-midpoint set ("lens") is the
 intersection of two one-sided superlevel sets of tau; the "strip" for a
 compatibility constant c collects the points whose time-function value
 lies between the two convex combinations ``(1-c)T(p)+cT(q)`` and
-``cT(p)+(1-c)T(q)``.
+``cT(p)+(1-c)T(q)``.  On R^{1,1} both come in closed form from the pair's
+rest frame: the lens arcs, and the largest eps whose lens fits the strip.
 
 Midpoint search is deterministic: on finite backends an id-ordered
 enumeration; on flat backends the affine midpoint (p+q)/2, which is the
@@ -28,7 +29,7 @@ from .core import (Certificate, DEFAULT_SEED, PiecewiseCausalCurve, Space,
                    TimeFunctionBundle, certify, make_rng, predicate, resolve_tol)
 from .errors import (CurveTooShort, DegenerateStrip, MidpointBoundsViolated,
                      NotARealizer, NotChronological, UnsupportedBackend)
-from .spaces import PlaneFrame
+from .spaces import PlaneFrame, time_at_level
 
 
 @dataclass(frozen=True)
@@ -116,72 +117,49 @@ class LensStrip:
         t = self.bundle.time(y)
         return lo - self.tol <= t <= hi + self.tol
 
-    def boundary_polylines(self, samples: int = 200):
-        """Sampled boundary curves for plotting: two hyperbola arcs.
-
-        Only available on R^{1,1}; for epsilon = 0 both arcs collapse to the
-        exact midpoint.
-        """
+    def _require_plane(self):
         if self.space.is_discrete or len(self.p) != 2:
-            raise UnsupportedBackend("boundary curves are only drawn on R^{1,1}")
+            raise UnsupportedBackend("lens and strip curves are only drawn on R^{1,1}")
+
+    def strip_times(self):
+        """Lab times a <= b of the two strip lines on R^{1,1}.
+
+        The time functions there depend on t alone and increase with it, so
+        the strip is the band a <= t <= b.
+        """
+        self._require_plane()
+        return tuple(time_at_level(self.bundle, level, self.p[0], self.q[0])
+                     for level in self.strip_levels)
+
+    def boundary_polylines(self, samples: int = 200):
+        """The two hyperbola arcs bounding the lens on R^{1,1}, sampled.
+
+        In the pair's rest frame they are t' = r cosh(theta) and
+        t' = tau - r cosh(theta), r = tau/2 - epsilon, meeting where
+        r sinh(theta) = +-sqrt(epsilon (tau - epsilon)); boosted by the pair's
+        rapidity phi, both run over phi +- that theta.  For epsilon = 0 both
+        collapse to the exact midpoint.
+        """
+        self._require_plane()
         if self.epsilon == 0:
             m = PlaneFrame(self.p, self.q).midpoint()
             return [("lens_upper", [m]), ("lens_lower", [m])]
         radius = self.half - self.epsilon
         if radius <= 0:
             raise ValueError("epsilon >= tau/2 leaves no hyperbola boundary to draw")
-        upper = _hyperbola_arc(self.space, self.p, self.q, radius, samples, from_past=True)
-        lower = _hyperbola_arc(self.space, self.p, self.q, radius, samples, from_past=False)
+        p, q = self.p, self.q
+        phi = math.atanh((q[1] - p[1]) / (q[0] - p[0]))
+        spread = math.asinh(math.sqrt(self.epsilon * (self.tau_pq - self.epsilon)) / radius)
+        lo, hi = phi - spread, phi + spread
+        # Rounding up to an odd count keeps the 201 points of the golden figure.
+        if samples % 2 == 0:
+            samples += 1
+        thetas = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
+        upper = [(p[0] + radius * math.cosh(th), p[1] + radius * math.sinh(th))
+                 for th in thetas]
+        lower = [(q[0] - radius * math.cosh(th), q[1] - radius * math.sinh(th))
+                 for th in thetas]
         return [("lens_upper", upper), ("lens_lower", lower)]
-
-
-def _hyperbola_arc(space, p, q, radius, samples, from_past):
-    """One branch of tau(center, .) = radius, clipped to the other condition.
-
-    ``from_past=True`` draws the future branch centered at p (clipped to
-    tau(., q) >= radius); otherwise the past branch centered at q.
-    """
-    if from_past:
-        center, other = p, q
-        def at(theta):
-            return (center[0] + radius * math.cosh(theta),
-                    center[1] + radius * math.sinh(theta))
-        def slack(y):
-            dt = other[0] - y[0]
-            dx = abs(other[1] - y[1])
-            return (dt * dt - dx * dx if dt >= 0 else -(dx * dx + dt * dt)) - radius * radius
-    else:
-        center, other = q, p
-        def at(theta):
-            return (center[0] - radius * math.cosh(theta),
-                    center[1] - radius * math.sinh(theta))
-        def slack(y):
-            dt = y[0] - other[0]
-            dx = abs(y[1] - other[1])
-            return (dt * dt - dx * dx if dt >= 0 else -(dx * dx + dt * dt)) - radius * radius
-
-    def crossing(direction):
-        lo, hi = 0.0, 0.5
-        while slack(at(direction * hi)) > 0:
-            hi *= 2.0
-            if hi > 64.0:
-                raise RuntimeError("hyperbola arc limit not bracketed")
-        for _ in range(80):
-            mid = (lo + hi) / 2.0
-            if slack(at(direction * mid)) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return direction * lo
-
-    if slack(at(0.0)) < 0:
-        return []
-    # Odd sample count keeps theta = 0 in the polyline: that is the
-    # time-extremal point of the arc, which containment tests must see.
-    if samples % 2 == 0:
-        samples += 1
-    lo, hi = crossing(-1.0), crossing(+1.0)
-    return [at(lo + (hi - lo) * i / (samples - 1)) for i in range(samples)]
 
 
 # -- search -------------------------------------------------------------------
@@ -364,80 +342,41 @@ def _compatibility(space, bundle, cert, a, b, _best_c, _midpoint):
     return (a, b, best_c, y), best_c < cert.data["c"] - slack
 
 
-def lens_in_strip_epsilon(space: Space, bundle: TimeFunctionBundle, p, q, c: float,
-                          boundary_samples: int = 400, rejection_samples: int = 10_000,
-                          seed: int = DEFAULT_SEED) -> float:
-    """An epsilon > 0 whose lens is contained in the strip for c.
+def lens_in_strip_epsilon(space: Space, bundle: TimeFunctionBundle, p, q, c: float) -> float:
+    """The largest epsilon whose lens lies in the strip for c, in closed form.
 
-    Found by bisection on epsilon with containment tested on a dense
-    boundary sampling, then re-verified by rejection sampling of the lens
-    interior.  Raises DegenerateStrip at c = 1/2 (containment then holds
-    only in the exact-midpoint limit).
+    With s = sinh|phi| for the pair's rapidity phi and r = tau/2 - epsilon,
+    the lens reaches down to lab time t_p + r at the vertex of its p-arc
+    when s r <= sqrt(epsilon (tau - epsilon)), and to its corner at
+    t_p + dt/2 - s sqrt(epsilon (tau - epsilon)) otherwise; its top mirrors
+    this through the midpoint.  Setting these equal to the strip lines
+    (:meth:`LensStrip.strip_times`) gives epsilon*.  Raises DegenerateStrip
+    at c = 1/2 and when the strip misses the midpoint (p+q)/2, as the strip
+    of t^3 can.
     """
     if space.is_discrete or len(p) != 2:
-        raise UnsupportedBackend("lens containment search runs on R^{1,1}")
-    if not space.chronological(p, q):
-        raise NotChronological(f"{p} and {q} are not chronologically related")
-    if c >= 0.5:
+        raise UnsupportedBackend("the lens-in-strip epsilon is computed on R^{1,1}")
+    lens = LensStrip(space, bundle, p, q, 0.0, c)
+    if c == 0.5:
         raise DegenerateStrip("c = 1/2 leaves a zero-width strip")
-    if c <= 0:
-        raise ValueError("compatibility constant must be positive")
+    (a, b), tau = lens.strip_times(), float(lens.tau_pq)
+    dt, s = q[0] - p[0], abs(q[1] - p[1]) / tau
 
-    half = float(space.tau(p, q)) / 2
+    def largest(d):
+        """epsilon* for a strip line d of lab time past p (or before q)."""
+        vertex = tau / 2 - d
+        if vertex > 0 and s * d <= math.sqrt(vertex * (tau - vertex)):
+            return vertex
+        if d >= dt / 2:
+            return 0.0
+        # The smaller root of epsilon (tau - epsilon) = k^2, free of cancellation.
+        k = (dt / 2 - d) / s
+        return 2 * k * k / (tau + math.sqrt(max(tau * tau - 4 * k * k, 0.0)))
 
-    def contained(eps):
-        lens = LensStrip(space, bundle, p, q, eps, c, tol=0.0)
-        for _, pts in lens.boundary_polylines(boundary_samples):
-            if not all(lens.in_strip(y) for y in pts):
-                return False
-        return True
-
-    lo = half * 1e-6
-    shrink = 0
-    while not contained(lo):
-        lo /= 4.0
-        shrink += 1
-        if shrink > 20:
-            raise RuntimeError("no contained epsilon found near zero")
-    hi = half * 0.98
-    if contained(hi):
-        eps_star = hi
-    else:
-        for _ in range(60):
-            mid = (lo + hi) / 2.0
-            if contained(mid):
-                lo = mid
-            else:
-                hi = mid
-        eps_star = lo
-
-    rng = make_rng(seed)
-    for _ in range(25):
-        if _rejection_verify(space, bundle, p, q, eps_star, c, rejection_samples, rng):
-            return eps_star
-        eps_star *= 0.97
-    raise RuntimeError("rejection verification kept failing; lens not contained")
-
-
-def _rejection_verify(space, bundle, p, q, eps, c, samples, rng):
-    lens = LensStrip(space, bundle, p, q, eps, c, tol=0.0)
-    polys = lens.boundary_polylines(160)
-    pts = [y for _, poly in polys for y in poly]
-    ts = [y[0] for y in pts] + [p[0], q[0]]
-    xs = [y[1] for y in pts] + [p[1], q[1]]
-    t_lo, t_hi = min(ts) - 0.05, max(ts) + 0.05
-    x_lo, x_hi = min(xs) - 0.05, max(xs) + 0.05
-    kept = 0
-    attempts = 0
-    while kept < samples and attempts < 400 * samples:
-        attempts += 1
-        y = (rng.uniform(t_lo, t_hi), rng.uniform(x_lo, x_hi))
-        if not lens.in_lens(y):
-            continue
-        kept += 1
-        if not lens.in_strip(y):
-            return False
-    return kept == samples
+    epsilon = min(largest(a - p[0]), largest(q[0] - b))
+    if epsilon <= 0:
+        raise DegenerateStrip(f"the strip for c = {c} misses the midpoint of {p} and {q}")
+    return epsilon
 
 
 # -- midpoints from curves ------------------------------------------------------

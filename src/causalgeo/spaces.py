@@ -573,6 +573,18 @@ def cubic_time_bundle(space: MinkowskiSpace, half_width: float = 0.5) -> TimeFun
     return TimeFunctionBundle(space, lambda p: p[0] ** 3, [witness], name="t^3")
 
 
+def time_at_level(bundle: TimeFunctionBundle, level, t_lo, t_hi):
+    """The first t in [t_lo, t_hi] with T((t, 0)) >= level, for a T of t alone
+    that increases with it (both bundles above on R^{1,1}), by bisection."""
+    for _ in range(80):
+        mid = (t_lo + t_hi) / 2.0
+        if bundle.time((mid, 0.0)) < level:
+            t_lo = mid
+        else:
+            t_hi = mid
+    return t_hi
+
+
 def causet_time_bundle(space: CausalSetSpace) -> TimeFunctionBundle:
     """The stored vertex times, witnessed by the |dT| graph metric on the whole set."""
     def metric(x, y):
@@ -692,13 +704,13 @@ def save_causet_csv(space: CausalSetSpace, vertices_path, edges_path):
 def load_causet_csv(vertices_path, edges_path) -> CausalSetSpace:
     with open(vertices_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["id", "T"]:
             raise ValueError('vertex file header must be exactly "id,T"')
         vertices = [(row[0], _parse_rational(row[1])) for row in reader if row]
     with open(edges_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["src", "dst", "tau"]:
             raise ValueError('edge file header must be exactly "src,dst,tau"')
         edges = [(row[0], row[1], _parse_rational(row[2])) for row in reader if row]

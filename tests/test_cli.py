@@ -1,5 +1,6 @@
 """CLI: config parsing, subcommands, exit codes, artifact reproducibility."""
 
+import ast
 import csv
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+import causalgeo
 from causalgeo.cli import RunConfig, main
 from causalgeo.geodesic import MAX_DEPTH
 
@@ -46,6 +48,30 @@ class TestConfigHandling:
     def test_missing_config_file(self, tmp_path):
         assert run("geodesic", "--config", str(tmp_path / "none.cfg"),
                    "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("backend, files", [
+        ("causet_json = missing.json", {}),
+        ("causet_json = untimed.json", {"untimed.json": '{"vertices": [{"id": "a"}], '
+                                                        '"edges": []}'}),
+        ("causet_json = negative.json", {"negative.json": (
+            '{"vertices": [{"id": "a", "T": 0}, {"id": "b", "T": 1}], '
+            '"edges": [{"src": "a", "dst": "b", "tau": -1}]}')}),
+        ("vertices_csv = empty.csv\nedges_csv = edges.csv",
+         {"empty.csv": "", "edges.csv": "src,dst,tau\n"}),
+        ("vertices_csv = short.csv\nedges_csv = edges.csv",
+         {"short.csv": "id,T\na\n", "edges.csv": "src,dst,tau\n"}),
+    ])
+    def test_malformed_causet_input_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                      backend, files):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        (tmp_path / "run.cfg").write_text(f"[backend]\nkind = causet\n{backend}\n")
+        assert run("certify", "--config", "run.cfg", "--out", "o") == 2
+        err = capsys.readouterr().err
+        assert backend.split()[2] in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -280,6 +306,56 @@ class TestLensCommand:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"[backend]\nkind = causet\ncauset_json = {causet_path}\n")
         assert run("lens", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+
+    def test_epsilon_not_below_half_tau_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[lens]\nepsilon = 3\n")  # tau(p, q) / 2 = 2
+        out = tmp_path / "o"
+        assert run("lens", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "lens.epsilon" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epsilon", ["auto", "0.1"])
+    def test_boosted_pair_draws_both_arcs(self, tmp_path, epsilon):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[lens]\nq = 4,3\nc = 0.3\nepsilon = {epsilon}\n")
+        out = tmp_path / "o"
+        assert run("lens", "--config", str(cfg), "--out", str(out)) == 0
+        with open(out / "boundary.csv") as fh:
+            curves = [row[0] for row in csv.reader(fh)]
+        assert curves.count("lens_upper") == curves.count("lens_lower") == 201
+
+    @pytest.mark.parametrize("time_kind", ["coordinate", "cubic"])
+    @pytest.mark.parametrize("section", [
+        "q = 4,1.5", "q = 4,1", "q = 4,0.5\nc = 0.3", "q = 4,2", "q = 4,2.5",
+        "q = 4,3\nc = 0.3", "c = 0.5", "epsilon = 2", "q = 0,4",
+    ])
+    def test_sweep_exits_0_or_2_without_traceback(self, tmp_path, capsys, section,
+                                                  time_kind):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[time_function]\nkind = {time_kind}\n\n[lens]\n{section}\n")
+        assert run("lens", "--config", str(cfg), "--out", str(tmp_path / "o")) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_source_raises_no_runtime_error():
+    # RuntimeError is not a CausalGeoError, so main would let it escape as a
+    # traceback with exit 1 instead of reporting it.
+    package = os.path.dirname(causalgeo.__file__)
+    raised = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                    raised.append(f"{name}:{node.lineno}")
+    assert raised == []
 
 
 class TestCertifyCommand:

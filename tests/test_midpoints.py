@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from causalgeo import (CausalSetSpace, LensStrip, MidpointQuery, MinkowskiSpace,
                        PiecewiseCausalCurve, approximate_midpoint_from_curve,
                        canonical_time_bundle, certify_compatibility,
-                       find_midpoint, is_eps_tau_midpoint, lens_in_strip_epsilon,
-                       midpoint_from_realizer, replay)
+                       cubic_time_bundle, find_midpoint, is_eps_tau_midpoint,
+                       lens_in_strip_epsilon, midpoint_from_realizer, replay)
 from causalgeo.core import make_rng
 from causalgeo.errors import (CurveTooShort, DegenerateStrip,
                               MidpointBoundsViolated, NotARealizer,
@@ -123,6 +123,22 @@ class TestLensStrip:
         for y in polys["lens_lower"]:
             assert mink.tau(y, q) == pytest.approx(radius, abs=1e-9)
 
+    def test_boosted_arcs_run_between_the_lens_corners(self, mink, mink_bundle):
+        # Neither arc vertex lies on this lens, so both arcs end at corners.
+        p, q, eps = (0.0, 0.0), (4.0, 3.0), 0.1
+        lens = LensStrip(mink, mink_bundle, p, q, eps, 0.3)
+        radius = mink.tau(p, q) / 2 - eps
+        polys = dict(lens.boundary_polylines(101))
+        upper, lower = polys["lens_upper"], polys["lens_lower"]
+        for y in upper:
+            assert mink.tau(p, y) == pytest.approx(radius, abs=1e-9)
+            assert mink.tau(y, q) >= radius - 1e-9
+        for y in lower:
+            assert mink.tau(y, q) == pytest.approx(radius, abs=1e-9)
+            assert mink.tau(p, y) >= radius - 1e-9
+        assert upper[0] == pytest.approx(lower[-1], abs=1e-9)
+        assert upper[-1] == pytest.approx(lower[0], abs=1e-9)
+
     def test_boundary_needs_flat_1plus1(self, diamond, diamond_bundle):
         lens = LensStrip(diamond, diamond_bundle, "p", "q", 0.5, 0.25)
         assert lens.in_lens("a")
@@ -156,28 +172,95 @@ class TestLensStrip:
         assert hits > 0
 
 
+# Boosted pairs from (0, 0) on which the sampled-polyline search overshot,
+# ended wherever its shrinking steps stopped, or raised; with c and eps* to
+# the digits first quoted for them.
+BOOSTED_PAIRS = [((4.0, 1.5), 0.4, 0.25404962), ((4.0, 1.0), 0.4, 0.33649167),
+                 ((4.0, 0.5), 0.3, 0.78431348), ((4.0, 2.0), 0.4, 0.144600),
+                 ((4.0, 2.5), 0.4, 0.0820943), ((4.0, 3.0), 0.3, 0.2038483)]
+
+
+def _lens_time_range(p, q, eps):
+    """Earliest and latest lab times of the closed eps-lens of p << q on R^{1,1}.
+
+    Worked in the lab frame: the extremes lie at the two corners, the
+    midpoint moved by sqrt(eps (tau - eps)) along the unit normal to q - p,
+    or at an arc vertex p + (r, 0) or q - (r, 0) that lies on the lens.
+    """
+    mink = MinkowskiSpace(1)
+    tau = mink.tau(p, q)
+    r, w = tau / 2 - eps, math.sqrt(eps * (tau - eps))
+    shift = w * abs(q[1] - p[1]) / tau
+    times = [(p[0] + q[0]) / 2 - shift, (p[0] + q[0]) / 2 + shift]
+    if mink.tau((p[0] + r, p[1]), q) >= r:
+        times.append(p[0] + r)
+    if mink.tau(p, (q[0] - r, q[1])) >= r:
+        times.append(q[0] - r)
+    return min(times), max(times)
+
+
+def _sharp_epsilon(p, q, c):
+    """The largest eps whose lens fits the coordinate-time strip, by bisection."""
+    a, b = (1 - c) * p[0] + c * q[0], c * p[0] + (1 - c) * q[0]
+    lo, hi = 0.0, MinkowskiSpace(1).tau(p, q) / 2
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        t_min, t_max = _lens_time_range(p, q, mid)
+        if t_min >= a and t_max <= b:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _sampled_lens_boundary(space, p, q, eps, samples=2001):
+    """Dense samples of the level sets tau(p, .) = r and tau(., q) = r, r = tau/2 - eps,
+    between the points where each meets the other condition (found by
+    bisection), plus each arc's vertex when it lies between them."""
+    r = space.tau(p, q) / 2 - eps
+    axis = math.atanh((q[1] - p[1]) / (q[0] - p[0]))
+    points = []
+    for sign, center in ((1.0, p), (-1.0, q)):
+        def at(theta):
+            return (center[0] + sign * r * math.cosh(theta),
+                    center[1] + sign * r * math.sinh(theta))
+
+        def inside(theta):
+            y = at(theta)
+            return (space.tau(y, q) if sign > 0 else space.tau(p, y)) >= r
+
+        ends = []
+        for far in (axis - 20.0, axis + 20.0):
+            near = axis  # on the segment pq, so inside the lens
+            for _ in range(100):
+                mid = (near + far) / 2
+                near, far = (mid, far) if inside(mid) else (near, mid)
+            ends.append(near)
+        thetas = [ends[0] + (ends[1] - ends[0]) * i / (samples - 1) for i in range(samples)]
+        if ends[0] <= 0.0 <= ends[1]:
+            thetas.append(0.0)
+        points.extend(at(theta) for theta in thetas)
+    return points
+
+
 class TestLensInStrip:
     def test_vertical_pair_matches_closed_form(self, mink, mink_bundle):
         # For this layout the sharp threshold is (1/2 - c) * tau = 0.4.
-        eps = lens_in_strip_epsilon(mink, mink_bundle, (0.0, 0.0), (4.0, 0.0), 0.4,
-                                    rejection_samples=2000)
+        eps = lens_in_strip_epsilon(mink, mink_bundle, (0.0, 0.0), (4.0, 0.0), 0.4)
         assert eps > 0
         assert eps <= 0.4 + 1e-9
         assert eps == pytest.approx(0.4, rel=1e-6)
 
     def test_grows_as_strip_widens(self, mink, mink_bundle):
-        tight = lens_in_strip_epsilon(mink, mink_bundle, (0.0, 0.0), (4.0, 0.0), 0.4,
-                                      rejection_samples=500)
-        wide = lens_in_strip_epsilon(mink, mink_bundle, (0.0, 0.0), (4.0, 0.0), 0.1,
-                                     rejection_samples=500)
+        tight = lens_in_strip_epsilon(mink, mink_bundle, (0.0, 0.0), (4.0, 0.0), 0.4)
+        wide = lens_in_strip_epsilon(mink, mink_bundle, (0.0, 0.0), (4.0, 0.0), 0.1)
         assert wide > tight
 
     def test_boosted_pair_containment_verifies(self, mink, mink_bundle):
         # Off-axis pairs put the lens extrema at hyperbola-hyperbola
         # intersections; the search still has to verify containment there.
         p, q = (0.0, 0.0), (4.0, 1.5)
-        eps = lens_in_strip_epsilon(mink, mink_bundle, p, q, 0.4,
-                                    rejection_samples=2000)
+        eps = lens_in_strip_epsilon(mink, mink_bundle, p, q, 0.4)
         assert eps > 0
         lens = LensStrip(mink, mink_bundle, p, q, eps, 0.4, tol=0.0)
         for _, poly in lens.boundary_polylines(301):
@@ -190,6 +273,35 @@ class TestLensInStrip:
     def test_spacelike_pair_rejected(self, mink, mink_bundle):
         with pytest.raises(NotChronological):
             lens_in_strip_epsilon(mink, mink_bundle, (0.0, 0.0), (0.0, 4.0), 0.4)
+
+    @pytest.mark.parametrize("q, c, quoted", BOOSTED_PAIRS)
+    def test_boosted_pairs_give_the_sharp_epsilon(self, mink, mink_bundle, q, c, quoted):
+        eps = lens_in_strip_epsilon(mink, mink_bundle, (0.0, 0.0), q, c)
+        assert eps == pytest.approx(_sharp_epsilon((0.0, 0.0), q, c), abs=1e-12)
+        assert eps == pytest.approx(quoted, abs=1e-6)
+
+    # c stays 0.01 away from 0 and 1/2: nearer 1/2, eps* falls toward 1e-14,
+    # and the bisected arc ends of the sampled oracle carry about 1e-10 of
+    # rounding in lab time, more than either tolerance below.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(t_p=st.floats(-2.0, 2.0), x_p=st.floats(-1.0, 1.0), dt=st.floats(0.5, 4.0),
+           v=st.floats(-0.95, 0.95), c=st.floats(0.01, 0.49), cubic=st.booleans())
+    def test_epsilon_is_sharp_on_sampled_level_sets(self, t_p, x_p, dt, v, c, cubic):
+        space = MinkowskiSpace(1)
+        bundle = cubic_time_bundle(space) if cubic else canonical_time_bundle(space)
+        p, q = (t_p, x_p), (t_p + dt, x_p + v * dt)
+        lo, hi = LensStrip(space, bundle, p, q, 0.0, c).strip_levels
+        if not lo <= bundle.time(((p[0] + q[0]) / 2, 0.0)) <= hi:
+            assert cubic
+            with pytest.raises(DegenerateStrip):
+                lens_in_strip_epsilon(space, bundle, p, q, c)
+            return
+        eps = lens_in_strip_epsilon(space, bundle, p, q, c)
+        tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+        times = [bundle.time(y) for y in _sampled_lens_boundary(space, p, q, eps)]
+        assert lo - tol <= min(times) and max(times) <= hi + tol
+        times = [bundle.time(y) for y in _sampled_lens_boundary(space, p, q, eps * (1 + 1e-6))]
+        assert min(times) < lo or max(times) > hi
 
 
 class TestCompatibility:
