@@ -18,9 +18,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
-import io
-import json
 import os
 import sys
 
@@ -28,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .core import (atomic_write, check_anti_lipschitz, check_chronology,
-                   check_reverse_triangle)
+                   check_reverse_triangle, csv_rows, csv_text, json_text)
 from .errors import (CausalGeoError, ConfigError, DegenerateStrip,
                      MidpointUnavailable, NotConnected, UnsupportedBackend)
 from .figures import lens_boundary_rows, lens_figure_svg
@@ -71,48 +68,27 @@ def _parse_eps(text):
     return float(text)
 
 
+# Section -> key -> (parser of the key's text, default value).
 _SCHEMA = {
-    "run": {"seed": int, "out": str},
+    "run": {"seed": (int, 42), "out": (str, "out")},
     "backend": {
-        "kind": str,
-        "spatial_dimension": int,
-        "window_t": _parse_pair_of_floats,
-        "window_radius": float,
-        "removed": _parse_point_list,
-        "causet_json": str,
-        "vertices_csv": str,
-        "edges_csv": str,
-        "corners": _parse_point_list,
-        "density": float,
+        "kind": (str, "minkowski"), "spatial_dimension": (int, 1),
+        "window_t": (_parse_pair_of_floats, (-3.0, 3.0)), "window_radius": (float, 3.0),
+        "removed": (_parse_point_list, ()), "causet_json": (str, ""),
+        "vertices_csv": (str, ""), "edges_csv": (str, ""),
+        "corners": (_parse_point_list, ((0.0, 0.0), (1.0, 0.0))), "density": (float, 100.0),
     },
-    "time_function": {"kind": str, "cubic_half_width": float},
+    "time_function": {"kind": (str, "coordinate"), "cubic_half_width": (float, 0.5)},
     "geodesic": {
-        "p": _parse_point, "q": _parse_point, "c": float, "epsilon": float,
-        "epsilon_hat": float, "depth": int, "mode": str,
+        "p": (_parse_point, (0.0, 0.0)), "q": (_parse_point, (2.0, 0.0)), "c": (float, 0.5),
+        "epsilon": (float, 0.0), "epsilon_hat": (float, 0.0), "depth": (int, 10),
+        "mode": (str, "exact"),
     },
-    "nulldist": {"pairs_file": str, "method": str},
-    "lens": {"p": _parse_point, "q": _parse_point, "epsilon": _parse_eps,
-             "c": float, "resolution": int},
-    "certify": {"sample_budget": int, "tolerance": float, "c": float,
-                "epsilon_hat": float},
-}
-
-_DEFAULTS = {
-    "run": {"seed": 42, "out": "out"},
-    "backend": {
-        "kind": "minkowski", "spatial_dimension": 1, "window_t": (-3.0, 3.0),
-        "window_radius": 3.0, "removed": (), "causet_json": "",
-        "vertices_csv": "", "edges_csv": "",
-        "corners": ((0.0, 0.0), (1.0, 0.0)), "density": 100.0,
-    },
-    "time_function": {"kind": "coordinate", "cubic_half_width": 0.5},
-    "geodesic": {"p": (0.0, 0.0), "q": (2.0, 0.0), "c": 0.5, "epsilon": 0.0,
-                 "epsilon_hat": 0.0, "depth": 10, "mode": "exact"},
-    "nulldist": {"pairs_file": "", "method": "auto"},
-    "lens": {"p": (0.0, 0.0), "q": (4.0, 0.0), "epsilon": "auto", "c": 0.4,
-             "resolution": 200},
-    "certify": {"sample_budget": 200, "tolerance": 1e-9, "c": 0.5,
-                "epsilon_hat": 0.0},
+    "nulldist": {"pairs_file": (str, ""), "method": (str, "auto")},
+    "lens": {"p": (_parse_point, (0.0, 0.0)), "q": (_parse_point, (4.0, 0.0)),
+             "epsilon": (_parse_eps, "auto"), "c": (float, 0.4), "resolution": (int, 200)},
+    "certify": {"sample_budget": (int, 200), "tolerance": (float, 1e-9), "c": (float, 0.5),
+                "epsilon_hat": (float, 0.0)},
 }
 
 
@@ -120,12 +96,16 @@ class RunConfig:
     """Strictly-validated run configuration (defaults, file, then flags)."""
 
     def __init__(self):
-        self.sections = {s: dict(v) for s, v in _DEFAULTS.items()}
+        self.sections = {section: {key: default for key, (_, default) in keys.items()}
+                         for section, keys in _SCHEMA.items()}
 
     def load_file(self, path):
         parser = configparser.ConfigParser(interpolation=None,
                                            inline_comment_prefixes=(";", "#"))
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(f"cannot parse config file {path!r}: {exc}") from None
         if not read:
             raise ConfigError(f"config file {path!r} not found")
         for section in parser.sections():
@@ -137,7 +117,7 @@ class RunConfig:
     def set(self, section, key, raw):
         if section not in _SCHEMA or key not in _SCHEMA[section]:
             raise ConfigError(f"unknown config key {section}.{key}")
-        caster = _SCHEMA[section][key]
+        caster = _SCHEMA[section][key][0]
         try:
             value = caster(raw) if isinstance(raw, str) else raw
         except ValueError as exc:
@@ -194,6 +174,8 @@ def build_space(config: RunConfig):
     if kind == "minkowski":
         return MinkowskiSpace(backend["spatial_dimension"], window)
     if kind == "punctured":
+        for point in backend["removed"]:
+            _check_coordinates(point, backend["spatial_dimension"], "backend.removed entry")
         return PuncturedMinkowski(backend["spatial_dimension"], backend["removed"], window)
     if kind == "causet":
         json_path, csv_paths = backend["causet_json"], (backend["vertices_csv"],
@@ -207,8 +189,11 @@ def build_space(config: RunConfig):
             raise ConfigError(f"cannot load the causal set from {source}: "
                               f"{type(exc).__name__}: {exc}") from exc
     if kind == "sprinkle":
-        return sprinkle_causet(backend["corners"], backend["density"],
-                               config["run"]["seed"])
+        try:
+            return sprinkle_causet(backend["corners"], backend["density"],
+                                   config["run"]["seed"])
+        except ValueError as exc:
+            raise ConfigError(f"bad backend.corners = {backend['corners']!r}: {exc}") from exc
     raise ConfigError(f"unknown backend kind {kind!r}")
 
 
@@ -218,12 +203,16 @@ def check_point(space, point, label):
         if not space.contains(point):
             raise ConfigError(f"{label} = {point!r} is not a vertex of the causal set")
     else:
-        expected = 1 + space.spatial_dimension
-        if not isinstance(point, tuple) or len(point) != expected:
-            raise ConfigError(f"{label} = {point!r} is not a {expected}-coordinate point")
+        _check_coordinates(point, space.spatial_dimension, label)
         if not space.contains(point):
             raise ConfigError(f"{label} = {point!r} was removed from the universe")
     return point
+
+
+def _check_coordinates(point, spatial_dimension, label):
+    expected = 1 + spatial_dimension
+    if not isinstance(point, tuple) or len(point) != expected:
+        raise ConfigError(f"{label} = {point!r} is not a {expected}-coordinate point")
 
 
 def build_bundle(config: RunConfig, space):
@@ -251,8 +240,7 @@ def write_manifest(config: RunConfig, outdir, command):
             "numpy": np.__version__,
         },
     }
-    atomic_write(os.path.join(outdir, "manifest.json"),
-                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write(os.path.join(outdir, "manifest.json"), json_text(manifest))
 
 
 def _summary_table(certs):
@@ -266,8 +254,7 @@ def _summary_table(certs):
 
 def _write_certs(certs, outdir):
     payload = [certs[name].as_dict() for name in sorted(certs)]
-    atomic_write(os.path.join(outdir, "certificates.json"),
-                 json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(os.path.join(outdir, "certificates.json"), json_text(payload))
     atomic_write(os.path.join(outdir, "summary.txt"), _summary_table(certs))
 
 
@@ -319,8 +306,7 @@ def cmd_geodesic(config: RunConfig) -> int:
             "pair": [_point_label(exc.pair[0]), _point_label(exc.pair[1])],
             "detail": exc.detail,
         }
-        atomic_write(os.path.join(outdir, "failure.json"),
-                     json.dumps(failure, indent=2, sort_keys=True) + "\n")
+        atomic_write(os.path.join(outdir, "failure.json"), json_text(failure))
         _remove_stale(outdir, "curve.json", "certificates.json", "summary.txt")
         print(f"geodesic synthesis failed: {exc}", file=sys.stderr)
         return 1
@@ -339,27 +325,27 @@ def cmd_nulldist(config: RunConfig) -> int:
     section = config["nulldist"]
     if not section["pairs_file"]:
         raise ConfigError("nulldist needs nulldist.pairs_file (CSV with header src,dst)")
-    with open(section["pairs_file"], newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["src", "dst"]:
-            raise ConfigError('pairs file header must be exactly "src,dst"')
-        pairs = [(_parse_point(row[0]), _parse_point(row[1])) for row in reader if row]
+    try:
+        pairs = [(_parse_point(a), _parse_point(b))
+                 for a, b in csv_rows(section["pairs_file"], ["src", "dst"])]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read nulldist.pairs_file = {section['pairs_file']!r}: "
+                          f"{type(exc).__name__}: {exc}") from exc
     for a, b in pairs:
         check_point(space, a, "src")
         check_point(space, b, "dst")
     write_manifest(config, outdir, "nulldist")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["src", "dst", "d_T", "method"])
-    for a, b in pairs:
+
+    def row(a, b):
         try:
             result = null_distance(space, bundle, a, b, method=section["method"])
-            writer.writerow([_point_label(a), _point_label(b),
-                             repr(float(result.value)), result.method])
+            return [_point_label(a), _point_label(b), repr(float(result.value)),
+                    result.method]
         except NotConnected:
-            writer.writerow([_point_label(a), _point_label(b), "inf", section["method"]])
-    atomic_write(os.path.join(outdir, "distances.csv"), buf.getvalue())
+            return [_point_label(a), _point_label(b), "inf", section["method"]]
+
+    atomic_write(os.path.join(outdir, "distances.csv"), csv_text(
+        ["src", "dst", "d_T", "method"], (row(a, b) for a, b in pairs)))
     return 0
 
 
@@ -384,12 +370,9 @@ def cmd_lens(config: RunConfig) -> int:
     write_manifest(config, outdir, "lens")
     atomic_write(os.path.join(outdir, "lens.svg"),
                  lens_figure_svg(lens, section["resolution"]))
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["curve_id", "t", "x"])
-    for curve_id, t, x in lens_boundary_rows(lens, section["resolution"]):
-        writer.writerow([curve_id, f"{t:.9f}", f"{x:.9f}"])
-    atomic_write(os.path.join(outdir, "boundary.csv"), buf.getvalue())
+    rows = ([curve_id, f"{t:.9f}", f"{x:.9f}"]
+            for curve_id, t, x in lens_boundary_rows(lens, section["resolution"]))
+    atomic_write(os.path.join(outdir, "boundary.csv"), csv_text(["curve_id", "t", "x"], rows))
     print(f"lens epsilon = {epsilon:.9f}")
     return 0
 

@@ -6,7 +6,7 @@ point universe with a causal relation ``<=``, a chronological relation
 (``math.inf`` is the dedicated infinity value).  A :class:`TimeFunctionBundle`
 attaches a generalized time function together with its anti-Lipschitz
 witness neighbourhoods, and :class:`PiecewiseCausalCurve` models zigzags of
-future- and past-directed causal segments.
+future- and past-directed causal segments by their joints alone.
 
 Sampled checks are seeded-deterministic and report a :class:`Certificate`.
 Each certificate name has one predicate, registered with :func:`predicate`:
@@ -17,10 +17,16 @@ predicate and sets the verdict and witness; :func:`replay` runs the same
 predicate on a failing certificate's stored witness.  Predicates read their
 tolerance and parameters from the certificate and compare exact values
 against the tolerance without adding it, so rationals stay exact.
+
+:func:`json_text`, :func:`csv_text` and :func:`csv_rows` are the one home of
+the toolkit's JSON and CSV text, beside :func:`atomic_write`.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 import os
 import tempfile
@@ -164,14 +170,14 @@ class PiecewiseCausalCurve:
 
     ``points`` are the segment joints; segment ``i`` joins ``points[i]`` to
     ``points[i+1]`` and is future- or past-directed according to
-    ``orientations[i]``.  Breakpoints default to a uniform partition of
-    [0, 1].  Consecutive segments share endpoints by construction.
+    ``orientations[i]``.  Consecutive segments share endpoints by
+    construction.  A curve carries no parametrization: what is read off it
+    (tau-length, null length, half point) depends on the joints alone.
     """
 
     space: Space
     points: tuple
     orientations: tuple
-    breakpoints: tuple = None
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -182,22 +188,11 @@ class PiecewiseCausalCurve:
             raise ValueError("need one orientation per segment")
         if any(o not in (FUTURE, PAST) for o in ors):
             raise ValueError("orientations must be 'future' or 'past'")
-        if self.breakpoints is None:
-            n = len(pts)
-            bps = (0.0,) if n == 1 else tuple(i / (n - 1) for i in range(n))
-            object.__setattr__(self, "breakpoints", bps)
-        else:
-            bps = tuple(float(b) for b in self.breakpoints)
-            if len(bps) != len(pts):
-                raise ValueError("need one breakpoint per joint")
-            if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
-                raise ValueError("breakpoints must be strictly increasing")
-            object.__setattr__(self, "breakpoints", bps)
 
     @classmethod
-    def future_chain(cls, space, points, breakpoints=None):
+    def future_chain(cls, space, points):
         pts = tuple(points)
-        return cls(space, pts, (FUTURE,) * max(len(pts) - 1, 0), breakpoints)
+        return cls(space, pts, (FUTURE,) * max(len(pts) - 1, 0))
 
     @property
     def segment_count(self):
@@ -270,9 +265,7 @@ class Certificate:
 
 def jsonable(value):
     """Recursively convert report payloads to JSON-encodable values."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, Fraction):
         return str(value)
@@ -285,6 +278,34 @@ def jsonable(value):
     if isinstance(value, np.floating):
         return float(value)
     return str(value)
+
+
+def json_text(payload):
+    """JSON with sorted keys, a two-space indent and a trailing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(header, rows):
+    """CSV text of ``header`` and then ``rows``, which may be a generator."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def csv_rows(path, header):
+    """Yield the nonblank rows of CSV file ``path`` after its header; raise
+    ValueError unless that header is ``header`` and each row fills its columns."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise ValueError(f'{path}: header must be exactly "{",".join(header)}"')
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ValueError(f"{path}, line {reader.line_num}: expected "
+                                 f"{len(header)} cells, got {len(row)}")
+            yield row
 
 
 def atomic_write(path, text):

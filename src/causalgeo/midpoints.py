@@ -385,41 +385,28 @@ def lens_in_strip_epsilon(space: Space, bundle: TimeFunctionBundle, p, q, c: flo
 def _half_point(space, curve):
     """The point where the running tau-length reaches half the total.
 
-    Continuum backends: bisection on the curve parameter (the running
-    length is monotone and piecewise linear).  Discrete backends: the joint
-    whose cumulative weight is closest to half, earliest on ties.
+    Continuum backends: tau along a straight causal segment of flat space is
+    proportional to the affine parameter, so the running length is linear on
+    each segment, and the crossing is solved for in closed form on the first
+    segment whose end reaches half (its start, when the segment has zero
+    length; a curve of one point is its own half point).  Discrete backends:
+    the joint whose cumulative weight is closest to half, earliest on ties.
     """
     cum = curve.cumulative_tau()
-    total = cum[-1]
-    half = total / 2
+    half = cum[-1] / 2
     if space.is_discrete:
         best = min(range(len(cum)), key=lambda i: (abs(cum[i] - half), i))
         return curve.points[best]
-
-    bps = curve.breakpoints
-
-    def running(tval):
-        for i in range(curve.segment_count):
-            if tval <= bps[i + 1] or i == curve.segment_count - 1:
-                frac = (tval - bps[i]) / (bps[i + 1] - bps[i])
-                frac = min(max(frac, 0.0), 1.0)
-                return i, frac, cum[i] + frac * (cum[i + 1] - cum[i])
-        raise AssertionError
-
-    lo, hi = bps[0], bps[-1]
-    for _ in range(100):
-        mid = (lo + hi) / 2.0
-        _, _, value = running(mid)
-        if value < half:
-            lo = mid
-        else:
-            hi = mid
-    i, frac, _ = running((lo + hi) / 2.0)
-    return space.interpolate(curve.points[i], curve.points[i + 1], frac)
+    for i in range(curve.segment_count):
+        if cum[i + 1] >= half:
+            length = cum[i + 1] - cum[i]
+            frac = (half - cum[i]) / length if length > 0 else 0.0
+            return space.interpolate(curve.points[i], curve.points[i + 1], frac)
+    return curve.points[0]
 
 
 def midpoint_from_realizer(space: Space, curve: PiecewiseCausalCurve, tol=None):
-    """Bisect the running tau-length of a distance realizer to its half point."""
+    """The half point of a distance realizer's running tau-length."""
     tol = resolve_tol(space, tol)
     length = curve.tau_length()
     endpoints_tau = space.tau(curve.points[0], curve.points[-1])

@@ -223,12 +223,8 @@ def _graph(space: CausalSetSpace, bundle, p, q) -> NullDistanceResult:
     if found is None:
         raise NotConnected(f"no piecewise causal walk joins {p} and {q}")
     dist, path = found
-    orientations = []
-    for a, b in zip(path, path[1:]):
-        o = space.edge_orientation(a, b)
-        if o is None:
-            raise NotConnected(f"walk step {a} -> {b} is not an edge")
-        orientations.append(o)
+    # Each step is an edge one way or the other; a DAG's causal order tells which.
+    orientations = [FUTURE if space.causal_le(a, b) else PAST for a, b in zip(path, path[1:])]
     curve = PiecewiseCausalCurve(space, tuple(path), tuple(orientations))
     return NullDistanceResult(dist, curve, "graph")
 

@@ -16,9 +16,7 @@ so discrete checks are exact; continuum backends work in floats with a
 
 from __future__ import annotations
 
-import csv
 import heapq
-import io
 import json
 import math
 from bisect import bisect_right
@@ -26,7 +24,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import AntiLipschitzWitness, Space, TimeFunctionBundle, atomic_write
+from .core import (AntiLipschitzWitness, Space, TimeFunctionBundle, atomic_write,
+                   csv_rows, csv_text, json_text)
 from .errors import CycleDetected, EmptySprinkle, NotComplete
 
 
@@ -87,7 +86,7 @@ class MinkowskiSpace(Space):
             out.append((t, *xs))
         return out
 
-    def _future_point(self, rng, p, max_ratio, head_fraction=1.0):
+    def _future_point(self, rng, p, max_ratio, head_fraction):
         (t_lo, t_hi), _ = self.window
         head = (t_hi - p[0]) * head_fraction
         dt = head * rng.uniform(0.05, 1.0)
@@ -100,37 +99,28 @@ class MinkowskiSpace(Space):
         dx = [u * dt * d / norm for d in direction]
         return (p[0] + dt, *(a + b for a, b in zip(p[1:], dx)))
 
-    def sample_chronological_pairs(self, rng, count):
+    def _sample_chains(self, rng, count, length, margin, max_ratio, head_fraction):
+        """Chains of ``length`` points, each in the causal future of the last,
+        from a start at least ``margin`` of the window below its top."""
         (t_lo, t_hi), _ = self.window
         out = []
         while len(out) < count:
-            p = self.sample_points(rng, 1)[0]
-            if t_hi - p[0] < 0.02 * (t_hi - t_lo):
+            chain = self.sample_points(rng, 1)
+            if t_hi - chain[0][0] < margin * (t_hi - t_lo):
                 continue
-            out.append((p, self._future_point(rng, p, max_ratio=0.95)))
+            while len(chain) < length:
+                chain.append(self._future_point(rng, chain[-1], max_ratio, head_fraction))
+            out.append(tuple(chain))
         return out
+
+    def sample_chronological_pairs(self, rng, count):
+        return self._sample_chains(rng, count, 2, 0.02, 0.95, 1.0)
 
     def sample_causal_pairs(self, rng, count):
-        (t_lo, t_hi), _ = self.window
-        out = []
-        while len(out) < count:
-            p = self.sample_points(rng, 1)[0]
-            if t_hi - p[0] < 0.02 * (t_hi - t_lo):
-                continue
-            out.append((p, self._future_point(rng, p, max_ratio=1.0)))
-        return out
+        return self._sample_chains(rng, count, 2, 0.02, 1.0, 1.0)
 
     def sample_causal_chains(self, rng, count):
-        (t_lo, t_hi), _ = self.window
-        out = []
-        while len(out) < count:
-            x = self.sample_points(rng, 1)[0]
-            if t_hi - x[0] < 0.05 * (t_hi - t_lo):
-                continue
-            y = self._future_point(rng, x, max_ratio=1.0, head_fraction=0.5)
-            z = self._future_point(rng, y, max_ratio=1.0, head_fraction=0.5)
-            out.append((x, y, z))
-        return out
+        return self._sample_chains(rng, count, 3, 0.05, 1.0, 0.5)
 
 
 class PlaneFrame:
@@ -487,14 +477,6 @@ class CausalSetSpace(Space):
             self._time_graph = (time, scale, adjacency)
         return self._time_graph[1:]
 
-    def edge_orientation(self, a, b):
-        """'future' if a -> b is an edge, 'past' if b -> a is, else None."""
-        if any(w == b for w, _ in self._out[a]):
-            return "future"
-        if any(w == a for w, _ in self._out[b]):
-            return "past"
-        return None
-
 
 class _MaskRows(Sequence):
     """The tuples ``prefix + (ids[i],)`` for each row ``(prefix, mask)`` and
@@ -610,6 +592,8 @@ def sprinkle_causet(diamond_corners, density: float, seed: int,
     """
     if density <= 0:
         raise ValueError("density must be positive")
+    if len(diamond_corners) != 2:
+        raise ValueError("a causal diamond needs exactly two corners")
     p, q = (tuple(map(float, c)) for c in diamond_corners)
     if len(p) != 2 or len(q) != 2:
         raise ValueError("sprinkling is implemented for R^{1,1} corners")
@@ -675,7 +659,7 @@ def save_causet_json(space: CausalSetSpace, path):
         "edges": [{"src": s, "dst": d, "tau": _encode_rational(w)}
                   for s, d, w in space.edges],
     }
-    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json_text(payload))
 
 
 def load_causet_json(path) -> CausalSetSpace:
@@ -686,32 +670,15 @@ def load_causet_json(path) -> CausalSetSpace:
     return CausalSetSpace(vertices, edges)
 
 
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def save_causet_csv(space: CausalSetSpace, vertices_path, edges_path):
-    atomic_write(vertices_path, _csv_text(
+    atomic_write(vertices_path, csv_text(
         ["id", "T"], ([v, _encode_rational(space.time_of(v))] for v in space.vertices)))
-    atomic_write(edges_path, _csv_text(
+    atomic_write(edges_path, csv_text(
         ["src", "dst", "tau"], ([s, d, _encode_rational(w)] for s, d, w in space.edges)))
 
 
 def load_causet_csv(vertices_path, edges_path) -> CausalSetSpace:
-    with open(vertices_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "T"]:
-            raise ValueError('vertex file header must be exactly "id,T"')
-        vertices = [(row[0], _parse_rational(row[1])) for row in reader if row]
-    with open(edges_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["src", "dst", "tau"]:
-            raise ValueError('edge file header must be exactly "src,dst,tau"')
-        edges = [(row[0], row[1], _parse_rational(row[2])) for row in reader if row]
+    vertices = [(v, _parse_rational(t)) for v, t in csv_rows(vertices_path, ["id", "T"])]
+    edges = [(s, d, _parse_rational(w))
+             for s, d, w in csv_rows(edges_path, ["src", "dst", "tau"])]
     return CausalSetSpace(vertices, edges)

@@ -133,9 +133,12 @@ class TestIntegerDijkstra:
         for x in space.vertices:
             for y in space.vertices:
                 try:
-                    graph = null_distance(space, bundle, x, y, method="graph").value
+                    result = null_distance(space, bundle, x, y, method="graph")
                 except NotConnected:
                     graph = None
+                else:
+                    result.witness_curve.validate()
+                    graph = result.value
                 try:
                     oracle = null_distance_oracle(space, bundle, x, y)
                 except NotConnected:

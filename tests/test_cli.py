@@ -73,6 +73,40 @@ class TestConfigHandling:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, files, named", [
+        ("geodesic", {"run.cfg": "seed = 1\n"}, "run.cfg"),
+        ("geodesic", {"run.cfg": "[run]\nseed = 1\nseed = 2\n"}, "run.cfg"),
+        ("geodesic", {"run.cfg": "[run]\nseed = 1\n[run]\nout = o\n"}, "run.cfg"),
+        ("nulldist", {"run.cfg": "[nulldist]\npairs_file = missing.csv\n"},
+         "nulldist.pairs_file"),
+        ("nulldist", {"run.cfg": "[nulldist]\npairs_file = pairs.csv\n", "pairs.csv": ""},
+         "nulldist.pairs_file"),
+        ("nulldist", {"run.cfg": "[nulldist]\npairs_file = pairs.csv\n",
+                      "pairs.csv": "src,dst\n0;0\n"}, "nulldist.pairs_file"),
+        ("certify", {"run.cfg": "[backend]\nkind = punctured\nremoved = abc\n"},
+         "backend.removed"),
+        ("certify", {"run.cfg": "[backend]\nkind = punctured\nremoved = 1,0,0\n"},
+         "backend.removed"),
+        ("causet", {"run.cfg": "[backend]\nkind = sprinkle\ncorners = 0,0|1,0,0\n"},
+         "backend.corners"),
+        ("causet", {"run.cfg": "[backend]\nkind = sprinkle\ncorners = 0,0|0,1\n"},
+         "backend.corners"),
+        ("causet", {"run.cfg": "[backend]\nkind = sprinkle\ncorners = 0,0\n"},
+         "backend.corners"),
+    ], ids=["no-section-header", "duplicate-key", "duplicate-section", "pairs-missing",
+            "pairs-empty", "pairs-one-column", "removed-not-a-point", "removed-too-long",
+            "corners-too-long", "corners-spacelike", "corners-one-point"])
+    def test_malformed_input_exits_2_without_traceback(self, tmp_path, capsys, monkeypatch,
+                                                       command, files, named):
+        monkeypatch.chdir(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert run(command, "--config", "run.cfg", "--out", "o") == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_config_file_with_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[run]\nseed = 7\n\n[geodesic]\ndepth = 4  ; inline note\n")

@@ -144,9 +144,6 @@ class TestPiecewiseCausalCurve:
     def test_orientation_and_breakpoint_validation(self, mink):
         with pytest.raises(ValueError):
             PiecewiseCausalCurve(mink, ((0.0, 0.0), (1.0, 0.0)), ("sideways",))
-        with pytest.raises(ValueError):
-            PiecewiseCausalCurve(mink, ((0.0, 0.0), (1.0, 0.0)), ("future",),
-                                 breakpoints=(0.0, 0.0))
 
     def test_tau_length_needs_future_curve(self, mink):
         curve = PiecewiseCausalCurve(mink, ((0.0, 0.0), (0.5, 0.5), (0.0, 1.0)),

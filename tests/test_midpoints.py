@@ -364,6 +364,22 @@ class TestMidpointFromRealizer:
         curve = PiecewiseCausalCurve.future_chain(space, ids)
         assert midpoint_from_realizer(space, curve) == "v2"
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([1, 2]),
+           p=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+           dx=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+           margin=st.floats(0.5, 4.0),
+           cuts=st.lists(st.integers(1, 63), max_size=6, unique=True))
+    def test_straight_future_chain_halves_tau(self, dim, p, dx, margin, cuts):
+        space = MinkowskiSpace(dim)
+        p, dx = tuple(p[:1 + dim]), dx[:dim]
+        q = (p[0] + math.hypot(*dx) + margin, *(a + d for a, d in zip(p[1:], dx)))
+        joints = [p, *(space.interpolate(p, q, k / 64) for k in sorted(cuts)), q]
+        y = midpoint_from_realizer(space, PiecewiseCausalCurve.future_chain(space, joints))
+        half = space.tau(p, q) / 2
+        assert abs(space.tau(p, y) - half) <= 1e-12
+        assert abs(space.tau(y, q) - half) <= 1e-12
+
     def test_not_a_realizer(self, mink):
         curve = PiecewiseCausalCurve.future_chain(
             mink, ((0.0, 0.0), (1.0, 0.5), (2.0, 0.0)))
