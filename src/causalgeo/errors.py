@@ -9,14 +9,6 @@ class WitnessMissing(CausalGeoError):
     """A sampled point has no anti-Lipschitz neighbourhood descriptor."""
 
 
-class CycleDetected(CausalGeoError):
-    """A causal-set edge list contains a directed cycle."""
-
-    def __init__(self, cycle):
-        self.cycle = tuple(cycle)
-        super().__init__("directed cycle: " + " -> ".join(map(str, self.cycle)))
-
-
 class EmptySprinkle(CausalGeoError):
     """A Poisson sprinkle produced no points at all."""
 

@@ -313,7 +313,8 @@ def _level_invariant_error(points, step, taus, level, tau_pq, epsilon, exact, to
 
 @dataclass(frozen=True)
 class HolderCertificate(Certificate):
-    """Certificate for Hölder continuity with the construction's constant."""
+    """Certificate for Hölder continuity with the construction's constant;
+    its fields are top-level keys of ``certificates.json``, not ``data``."""
 
     alpha: float = 0.0
     constant: float = 0.0
@@ -471,6 +472,9 @@ def check_realizer(curve: DyadicCurve, sample_budget: int = 200,
     the truncation sandwich slack.  Approximate mode: the two one-sided
     speed bounds with eps-shifted speeds, checked separately, plus the
     total tau-length of the deepest stored partition against tau - eps.
+    That length recomputes tau of every deepest adjacent pair on purpose:
+    a curve loaded with ``from_dict`` carries no build tau, and reading the
+    build's values would check the build against itself.
     """
     space = curve.space
     tol = float(resolve_tol(space, tol))

@@ -13,7 +13,10 @@ Midpoint search is deterministic: on finite backends an id-ordered
 enumeration; on flat backends the affine midpoint (p+q)/2, which is the
 unique exact tau-midpoint there, built in the p-q plane frame and rejected
 when it falls on a removed point, followed in the approximate case by a
-fixed offset ladder and a raster fallback.  Given tau(p,q), the search
+fixed offset ladder and a raster fallback.  There is one search,
+:func:`_search_with_taus`, behind :func:`find_midpoint`, the dyadic build
+and the compatibility certificate, which drops the strip filter and reads
+the best constant off the selected point.  Given tau(p,q), the search
 evaluates each candidate's two half-separations once and returns those of
 the point it selects; the dyadic build passes them on as the parent tau of
 the next level's searches, so no adjacent tau is evaluated twice.
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .core import (Certificate, DEFAULT_SEED, PiecewiseCausalCurve, Space,
                    TimeFunctionBundle, certify, make_rng, predicate, resolve_tol)
@@ -107,10 +109,8 @@ class LensStrip:
         self.strip_width = (1 - 2 * c) * (tq - tp)
 
     def in_lens(self, y) -> bool:
-        if self.epsilon == 0:
-            return is_eps_tau_midpoint(self.space, self.p, self.q, y, 0.0, self.tol)
-        floor = self.half - self.epsilon
-        return self.space.tau(self.p, y) > floor and self.space.tau(y, self.q) > floor
+        return _halves_within(self.half, self.space.tau(self.p, y), self.space.tau(y, self.q),
+                              self.epsilon, self.tol)
 
     def in_strip(self, y) -> bool:
         lo, hi = self.strip_levels
@@ -133,6 +133,9 @@ class LensStrip:
 
     def boundary_polylines(self, samples: int = 200):
         """The two hyperbola arcs bounding the lens on R^{1,1}, sampled.
+
+        ``lens_upper`` is the p-centred arc, lower in lab time; the golden
+        figure's path ids keep the names.
 
         In the pair's rest frame they are t' = r cosh(theta) and
         t' = tau - r cosh(theta), r = tau/2 - epsilon, meeting where
@@ -174,23 +177,16 @@ def _strip_fraction(bundle, p, q, y):
     return (ty - tp) / gap
 
 
-def _midpoint_search(space, bundle, p, q, eps, c, tol):
-    """Deterministic feasible-point search; ``c=None`` drops the strip filter.
+def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
+    """Deterministic feasible-point search given ``tau_pq = tau(p, q)``;
+    ``c=None`` drops the strip filter.
 
     Selection rule: minimize |T(y) - (T(p)+T(q))/2|, ties broken by smallest
     vertex id (discrete) or lexicographically smallest coordinates (raster
-    fallback on flat backends).
-    """
-    found = _search_with_taus(space, bundle, p, q, eps, c, tol, space.tau(p, q))
-    return None if found is None else found[0]
-
-
-def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
-    """:func:`_midpoint_search` given ``tau_pq = tau(p, q)``.
-
-    Returns ``(y, tau(p, y), tau(y, q))`` for the selected point y, or None.
-    Each candidate's two half-separations are evaluated once and reused, so
-    a caller that refines the pair again needs no further tau.
+    fallback on flat backends).  Returns ``(y, tau(p, y), tau(y, q))`` for
+    the selected point y, or None.  Each candidate's two half-separations
+    are evaluated once and reused, so a caller that refines the pair again
+    needs no further tau.
     """
     t_center = (bundle.time(p) + bundle.time(q)) / 2
     half = tau_pq / 2
@@ -284,24 +280,6 @@ def find_midpoint(space: Space, bundle: TimeFunctionBundle, query: MidpointQuery
     return None if found is None else found[0]
 
 
-def _best_midpoint(space, bundle, p, q, eps, tol):
-    """Strip-unconstrained search plus the best admissible strip constant.
-
-    The search minimizes |T(y) - center|, which maximizes min(u, 1-u) over
-    feasible candidates, so the returned constant is the largest c whose
-    strip still contains a lens point.
-    """
-    y = _midpoint_search(space, bundle, p, q, eps, None, tol)
-    if y is None:
-        return None
-    u = _strip_fraction(bundle, p, q, y)
-    if u is None:
-        return y, 0
-    best_c = min(u, 1 - u)
-    cap = Fraction(1, 2) if isinstance(best_c, Fraction) else 0.5
-    return y, min(best_c, cap)
-
-
 def certify_compatibility(space: Space, bundle: TimeFunctionBundle, c: float,
                           epsilon_hat: float, sample_budget: int = 200,
                           seed: int = DEFAULT_SEED, tol=None) -> Certificate:
@@ -332,12 +310,17 @@ def certify_compatibility(space: Space, bundle: TimeFunctionBundle, c: float,
 
 @predicate("compatibility")
 def _compatibility(space, bundle, cert, a, b, _best_c, _midpoint):
-    eps = float(space.tau(a, b)) * cert.data["epsilon_hat"]
-    found = _best_midpoint(space, bundle, a, b, eps, cert.tolerance)
+    """Minimizing |T(y) - center| maximizes min(u, 1-u) over lens points:
+    the largest c whose strip still holds one."""
+    tau_ab = space.tau(a, b)
+    found = _search_with_taus(space, bundle, a, b, float(tau_ab) * cert.data["epsilon_hat"],
+                              None, cert.tolerance, tau_ab)
     if found is None:
         # An empty lens fails midpoint existence, which compatibility assumes.
         return (a, b, None, None), False
-    y, best_c = found
+    y = found[0]
+    u = _strip_fraction(bundle, a, b, y)
+    best_c = 0 if u is None else min(u, 1 - u)
     slack = 0 if space.is_discrete else cert.tolerance
     return (a, b, best_c, y), best_c < cert.data["c"] - slack
 

@@ -10,10 +10,11 @@ Three computation routes are provided:
   increment, witnessed by the direct segment.
 * ``graph`` -- on causal sets, Dijkstra over the symmetrized edge set with
   weights |dT|; lossless because increments telescope along monotone runs.
-* ``zigzag`` -- on flat backends, closed-form two-segment null corners plus
-  a one-parameter nested search over four-segment shapes.  With coordinate
-  time the route stops at the corner of a spacelike pair once its cost meets
-  the lower bound max(|dt|, ||dx||); the search can only lose to it there.
+* ``zigzag`` -- on flat backends, one route that checks in turn the direct
+  segment of a related pair, the closed-form two-segment null corner (with
+  coordinate time, once its cost meets the lower bound max(|dt|, ||dx||),
+  where the search can only lose to it), and a one-parameter nested search
+  over four-segment shapes.
 
 The closed form max(|dt|, ||dx||) for the coordinate time function
 (:func:`minkowski_analytic_candidate`) is not a route: it is checked against
@@ -118,33 +119,8 @@ def _two_segment_candidates(space, bundle, frame, a, b, a_plane, b_plane):
 
 
 def _best_two_segment(space, bundle, frame, a, b, a_plane, b_plane):
-    cands = _two_segment_candidates(space, bundle, frame, a, b, a_plane, b_plane)
-    if not cands:
-        return None
-    return min(cands, key=lambda c: c[0])
-
-
-def _zigzag(space, bundle, p, q) -> NullDistanceResult:
-    """The null corner when it meets the proven bound, else the full search.
-
-    With coordinate time, max(|dt|, ||dx||) bounds every piecewise causal
-    curve from below.  A spacelike pair's corner costs that bound plus two
-    nudges of :func:`_null_corners`; a four-segment candidate splits the pair
-    into two spacelike halves that pay two nudges each, so the search could
-    never replace the corner.  Other time functions, pairs with no surviving
-    corner or whose corner misses the bound by more than the slack, and
-    related pairs (whose direct segment the search keeps) go to the search.
-    """
-    if bundle.canonical_minkowski:
-        frame = PlaneFrame(p, q)
-        pp, qp = frame.p_plane, frame.q_plane
-        best = _best_two_segment(space, bundle, frame, p, q, pp, qp)
-        # Two nudges carried by the corner, one more for rounding.
-        slack = 3.0 * _corner_nudge(pp[0], qp[0], frame.span)
-        if (best is not None and len(best[1]) == 3 and
-                abs(best[0] - minkowski_analytic_candidate(bundle, p, q)) <= slack):
-            return _zigzag_result(space, best)
-    return _zigzag_search(space, bundle, p, q)
+    return min(_two_segment_candidates(space, bundle, frame, a, b, a_plane, b_plane),
+               key=lambda c: c[0], default=None)
 
 
 def _zigzag_result(space, best) -> NullDistanceResult:
@@ -153,12 +129,17 @@ def _zigzag_result(space, best) -> NullDistanceResult:
                               "zigzag")
 
 
-def _zigzag_search(space, bundle, p, q) -> NullDistanceResult:
+def _zigzag(space, bundle, p, q) -> NullDistanceResult:
     """Nested optimization over two- and four-segment null zigzags.
 
     A related pair keeps its direct segment: it attains |dT|, which bounds
     every piecewise causal curve from below, so a split could only undercut
-    it by rounding.
+    it by rounding.  With coordinate time, max(|dt|, ||dx||) is such a bound
+    too; a spacelike pair's corner costs that bound plus two nudges of
+    :func:`_null_corners`, and a four-segment candidate splits the pair into
+    two spacelike halves that pay two nudges each, so the route stops at a
+    corner that meets the bound.  Other time functions, and pairs with no
+    surviving corner or whose corner misses the bound, go on to the search.
     """
     frame = PlaneFrame(p, q)
     pp, qp = frame.p_plane, frame.q_plane
@@ -167,14 +148,14 @@ def _zigzag_search(space, bundle, p, q) -> NullDistanceResult:
     if cands and len(cands[0][1]) == 2:
         return _zigzag_result(space, cands[0])
     best = min(cands, key=lambda c: c[0], default=None)
-
-    def plane_at(lam):
-        t = pp[0] + lam * (qp[0] - pp[0])
-        s = pp[1] + lam * (qp[1] - pp[1])
-        return (t, s)
+    # Two nudges carried by the corner, one more for rounding.
+    if (best is not None and bundle.canonical_minkowski and
+            abs(best[0] - minkowski_analytic_candidate(bundle, p, q))
+            <= 3.0 * _corner_nudge(pp[0], qp[0], frame.span)):
+        return _zigzag_result(space, best)
 
     def four_segment(lam):
-        r_plane = plane_at(lam)
+        r_plane = (pp[0] + lam * (qp[0] - pp[0]), pp[1] + lam * (qp[1] - pp[1]))
         r = frame.embed(*r_plane)
         if not space.contains(r):
             return None

@@ -26,7 +26,7 @@ from itertools import accumulate
 
 from .core import (AntiLipschitzWitness, Space, TimeFunctionBundle, atomic_write,
                    csv_rows, csv_text, json_text)
-from .errors import CycleDetected, EmptySprinkle, NotComplete
+from .errors import EmptySprinkle, NotComplete
 
 
 class MinkowskiSpace(Space):
@@ -211,7 +211,9 @@ class CausalSetSpace(Space):
       concatenation.
 
     The edges are kept exactly as given, so a direct edge heavier than a
-    chain it shortcuts sets tau.  Per vertex x, the bitmask
+    chain it shortcuts sets tau.  Vertex time must strictly increase along
+    every edge, which rejects any cycle and makes time order (ties by id) a
+    topological order.  Per vertex x, the bitmask
     ``_reach[x]`` holds every y with x <= y and ``_chron[x]`` every y with
     x << y (bit i is the i-th sorted id); related pairs and chains are
     indexed views over them.  Vertex times and weights are exact rationals.
@@ -242,13 +244,14 @@ class CausalSetSpace(Space):
             src, dst = str(src), str(dst)
             if src not in t_map or dst not in t_map:
                 raise ValueError(f"edge ({src}, {dst}) references unknown vertex")
-            if src == dst:
-                raise CycleDetected([src, src])
             w = _as_fraction(w)
             if w < 0:
                 raise ValueError(f"negative weight on edge ({src}, {dst})")
             if (src, dst) in seen:
                 raise ValueError(f"duplicate edge ({src}, {dst})")
+            if t_map[dst] <= t_map[src]:
+                raise ValueError(
+                    f"vertex time must strictly increase along edge ({src}, {dst})")
             seen.add((src, dst))
             edge_list.append((src, dst, w))
 
@@ -261,11 +264,7 @@ class CausalSetSpace(Space):
             into[dst].append((src, w))
         self._out = {v: tuple(ws) for v, ws in out.items()}
         self._in = {v: tuple(ws) for v, ws in into.items()}
-        self._topo = self._topological_order()
-        for src, dst, _ in self.edges:
-            if self._t[dst] <= self._t[src]:
-                raise ValueError(
-                    f"vertex time must strictly increase along edge ({src}, {dst})")
+        self._topo = tuple(sorted(self._ids, key=lambda v: (t_map[v], v)))
         self._reach, self._chron = {}, {}
         for v in reversed(self._topo):
             reach, chron = 1 << self._index[v], 0
@@ -278,22 +277,6 @@ class CausalSetSpace(Space):
         self.sufficiently_causally_connected = self._check_connectedness()
 
     # -- construction helpers -------------------------------------------------
-
-    def _topological_order(self):
-        indeg = {v: len(self._in[v]) for v in self._ids}
-        ready = [v for v in self._ids if indeg[v] == 0]
-        order = []
-        while ready:
-            v = heapq.heappop(ready)
-            order.append(v)
-            for w, _ in self._out[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    heapq.heappush(ready, w)
-        if len(order) != len(self._ids):
-            cycle = [v for v in self._ids if indeg[v] > 0]
-            raise CycleDetected(cycle)
-        return tuple(order)
 
     def _check_connectedness(self):
         if not self._ids:

@@ -16,7 +16,7 @@ from causalgeo import (CausalSetSpace, causet_time_bundle, check_anti_lipschitz,
                        check_reverse_triangle, is_eps_tau_midpoint, null_distance,
                        null_distance_oracle, sprinkle_causet)
 from causalgeo.errors import NotConnected
-from causalgeo.midpoints import _midpoint_search
+from causalgeo.midpoints import _search_with_taus
 
 STEPS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7), Fraction(1))
 WEIGHTS = (Fraction(0), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7),
@@ -162,6 +162,12 @@ def full_scan_midpoint(space, bundle, p, q, eps, c):
     return min(cands, key=lambda y: (abs(bundle.time(y) - center), y))
 
 
+def search(space, bundle, p, q, eps, c):
+    """The point the exact midpoint search selects, or None."""
+    found = _search_with_taus(space, bundle, p, q, eps, c, 0, space.tau(p, q))
+    return None if found is None else found[0]
+
+
 class TestPrunedMidpointSearch:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(weighted_dags(), st.sampled_from((0, 0.25, 0.5, 1.0, 1.5)),
@@ -172,7 +178,7 @@ class TestPrunedMidpointSearch:
             # eps_hat above 1/2 puts the tolerance above tau(p,q)/2, where
             # points off the diamond are feasible too.
             eps = float(space.tau(p, q)) * eps_hat
-            assert (_midpoint_search(space, bundle, p, q, eps, c, 0)
+            assert (search(space, bundle, p, q, eps, c)
                     == full_scan_midpoint(space, bundle, p, q, eps, c)), (p, q)
 
     def test_off_diamond_point_wins_when_tolerance_exceeds_half(self):
@@ -182,8 +188,8 @@ class TestPrunedMidpointSearch:
                                [("p", "q", 1)])
         bundle = causet_time_bundle(space)
         assert space.causal_diamond("p", "q") == ["p", "q"]
-        assert _midpoint_search(space, bundle, "p", "q", 1.0, None, 0) == "r"
-        assert _midpoint_search(space, bundle, "p", "q", 0.5, None, 0) is None
+        assert search(space, bundle, "p", "q", 1.0, None) == "r"
+        assert search(space, bundle, "p", "q", 0.5, None) is None
 
 
 class TestComplexityGuard:

@@ -60,6 +60,13 @@ class TestConfigHandling:
          {"empty.csv": "", "edges.csv": "src,dst,tau\n"}),
         ("vertices_csv = short.csv\nedges_csv = edges.csv",
          {"short.csv": "id,T\na\n", "edges.csv": "src,dst,tau\n"}),
+        ("causet_json = cycle.json", {"cycle.json": (
+            '{"vertices": [{"id": "a", "T": 0}, {"id": "b", "T": 1}], '
+            '"edges": [{"src": "a", "dst": "b", "tau": 1}, '
+            '{"src": "b", "dst": "a", "tau": 1}]}')}),
+        ("causet_json = loop.json", {"loop.json": (
+            '{"vertices": [{"id": "a", "T": 0}], '
+            '"edges": [{"src": "a", "dst": "a", "tau": 1}]}')}),
     ])
     def test_malformed_causet_input_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                       backend, files):
@@ -558,3 +565,19 @@ class TestPerCommandFlags:
         parser = _build_parser()
         for argv in lines:
             parser.parse_args(argv)
+
+
+def test_tracer_targets_resolve():
+    """Every name the perfbench tracer wraps still names a callable, so a
+    refactor that breaks ``perfbench/run.py --trace 1`` fails here."""
+    import causalgeo.cli  # noqa: F401  (imports every layer module)
+
+    root = os.path.dirname(os.path.dirname(__file__))
+    sys.path.insert(0, os.path.join(root, "perfbench"))
+    try:
+        import tracer
+    finally:
+        sys.path.pop(0)
+    targets = [*tracer.SPAN_TARGETS.values(), *tracer.COUNT_TARGETS.values()]
+    for owner, attr in (target for group in targets for target in group):
+        assert callable(getattr(tracer._resolve(owner), attr, None)), (owner, attr)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from causalgeo import (CausalSetSpace, LensStrip, MidpointQuery, MinkowskiSpace,
-                       PiecewiseCausalCurve, approximate_midpoint_from_curve,
+                       PiecewiseCausalCurve, PuncturedMinkowski,
+                       approximate_midpoint_from_curve,
                        canonical_time_bundle, certify_compatibility,
                        cubic_time_bundle, find_midpoint, is_eps_tau_midpoint,
                        lens_in_strip_epsilon, midpoint_from_realizer, replay)
@@ -89,6 +90,37 @@ class TestFindMidpoint:
                               MidpointQuery(p=P, q=Q, epsilon_hat=0.005))
         assert found is not None
         assert is_eps_tau_midpoint(punctured, P, Q, found, 0.01)
+
+
+def _cubic_miss():
+    space = MinkowskiSpace(1)
+    return space, cubic_time_bundle(space, half_width=0.5), P, Q, 0.3, 0.45, (1.55, 0.0)
+
+
+def _punctured_miss():
+    # The affine midpoint is removed, and at a spatial-to-tau ratio near 1000
+    # every step of the offset ladder already leaves the lens.
+    space = PuncturedMinkowski(1, removed=[(1.0, 0.9999995)])
+    return (space, canonical_time_bundle(space), P, (2.0, 1.999999), 0.1, 0.5,
+            (1.0, 0.9999995 + 1e-8))
+
+
+@pytest.mark.parametrize("case", [_cubic_miss, _punctured_miss], ids=["cubic", "punctured"])
+class TestFlatSearchMisses:
+    """Two pairs whose lens and strip share a point the flat search never
+    samples: the offset ladder and rasters miss the feasible window."""
+
+    def test_witness_lies_in_lens_and_strip(self, case):
+        space, bundle, p, q, eps_hat, c, y = case()
+        lens = LensStrip(space, bundle, p, q, float(space.tau(p, q)) * eps_hat, c)
+        assert space.contains(y) and lens.in_lens(y) and lens.in_strip(y)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the flat approximate search is incomplete")
+    def test_search_finds_a_point(self, case):
+        space, bundle, p, q, eps_hat, c, _ = case()
+        query = MidpointQuery(p=p, q=q, c=c, epsilon_hat=eps_hat)
+        assert find_midpoint(space, bundle, query) is not None
 
 
 class TestLensStrip:

@@ -11,8 +11,9 @@ from causalgeo import (CausalSetSpace, MinkowskiSpace, PiecewiseCausalCurve,
                        check_metric_axioms, null_distance, null_distance_oracle,
                        null_length, replay, validate_analytic_fast_path)
 from causalgeo.errors import NotConnected, UnsupportedBackend
-from causalgeo.nulldist import (_best_two_segment, _null_corners, _zigzag_search,
-                                minkowski_analytic_candidate)
+from causalgeo.core import TimeFunctionBundle
+from causalgeo.nulldist import (_best_two_segment, _null_corners, _two_segment_candidates,
+                                _zigzag, minkowski_analytic_candidate)
 from causalgeo.spaces import PlaneFrame
 
 
@@ -122,7 +123,9 @@ class TestZigzagCornerBound:
         assume(p != q and space.contains(p) and space.contains(q))
         bundle = canonical_time_bundle(space)
         result = null_distance(space, bundle, p, q, method="zigzag")
-        full = _zigzag_search(space, bundle, p, q)
+        # Coordinate time without the flag that lets the route stop at the corner.
+        unflagged = TimeFunctionBundle(space, bundle.time, bundle.witnesses, name="t")
+        full = _zigzag(space, unflagged, p, q)
         assert result.value == full.value
         assert result.witness_curve.points == full.witness_curve.points
         assert result.witness_curve.orientations == full.witness_curve.orientations
@@ -143,14 +146,21 @@ class TestZigzagCornerBound:
             assert result.witness_curve.points == (p, q)
 
     def test_spacelike_pairs_skip_the_search(self, mink3, monkeypatch):
-        def no_search(*args):
-            raise AssertionError("four-segment search ran")
+        # The four-segment search lists two-segment candidates for both
+        # halves of every split it tries; the corner needs one list.
+        calls = []
 
-        monkeypatch.setattr("causalgeo.nulldist._zigzag_search", no_search)
+        def counted(*args):
+            calls.append(None)
+            return _two_segment_candidates(*args)
+
+        monkeypatch.setattr("causalgeo.nulldist._two_segment_candidates", counted)
         bundle = canonical_time_bundle(mink3)
         for q in ((0.0, 0.6, 0.8), (0.3, -1.2, 0.5), (-1.5, 1.9, -0.2)):
+            calls.clear()
             result = null_distance(mink3, bundle, (0.1, 0.0, 0.0), q)
             assert len(result.witness_curve.points) == 3
+            assert len(calls) == 1
 
     def test_other_time_functions_keep_the_search(self, cubic_mink, cubic_bundle):
         p, q = (0.0, 0.0), (0.0, 1.0)
