@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .core import (atomic_write, check_anti_lipschitz, check_chronology,
                    check_reverse_triangle, csv_rows, csv_text, json_text)
-from .errors import (CausalGeoError, ConfigError, DegenerateStrip,
+from .errors import (BudgetExceeded, CausalGeoError, ConfigError, DegenerateStrip,
                      MidpointUnavailable, NotConnected, UnsupportedBackend)
 from .figures import lens_boundary_rows, lens_figure_svg
 from .geodesic import MAX_DEPTH, synthesize_geodesic
@@ -147,6 +147,11 @@ class RunConfig:
             (1 <= geo["depth"] <= MAX_DEPTH, f"geodesic.depth must lie in [1, {MAX_DEPTH}]"),
             (geo["mode"] in ("exact", "approximate"),
              "geodesic.mode must be exact|approximate"),
+            (geo["mode"] == "approximate" or geo["epsilon"] == geo["epsilon_hat"] == 0,
+             "geodesic.epsilon and geodesic.epsilon_hat are for mode = approximate only"),
+            (geo["mode"] == "exact" or (geo["epsilon"] > 0) != (geo["epsilon_hat"] > 0),
+             "mode = approximate needs exactly one of geodesic.epsilon and "
+             "geodesic.epsilon_hat"),
             (self["nulldist"]["method"] in ("auto", "graph", "zigzag"),
              "nulldist.method must be auto|graph|zigzag"),
             (0 < lens["c"] <= 0.5, "lens.c must lie in (0, 1/2]"),
@@ -194,6 +199,9 @@ def build_space(config: RunConfig):
                                    config["run"]["seed"])
         except ValueError as exc:
             raise ConfigError(f"bad backend.corners = {backend['corners']!r}: {exc}") from exc
+        except BudgetExceeded as exc:
+            raise ConfigError(f"backend.density = {backend['density']:g} is too large: "
+                              f"{exc}") from exc
     raise ConfigError(f"unknown backend kind {kind!r}")
 
 
@@ -289,9 +297,7 @@ def cmd_geodesic(config: RunConfig) -> int:
         raise ConfigError(f"geodesic.p = {p!r} does not causally precede "
                           f"geodesic.q = {q!r}")
     epsilon = geo["epsilon"]
-    if geo["mode"] == "approximate" and epsilon == 0.0:
-        if geo["epsilon_hat"] <= 0:
-            raise ConfigError("approximate mode needs epsilon or epsilon_hat")
+    if geo["epsilon_hat"] > 0:
         epsilon = geo["epsilon_hat"] * float(space.tau(p, q))
     write_manifest(config, outdir, "geodesic")
     try:

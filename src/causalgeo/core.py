@@ -141,21 +141,12 @@ class TimeFunctionBundle:
     def __init__(self, space: Space, time: Callable, witnesses: Iterable[AntiLipschitzWitness],
                  name: str = "T", canonical_minkowski: bool = False):
         self.space = space
-        self._time = time
+        self.time = time
         self.witnesses = tuple(witnesses)
         self.name = name
         # True only for the coordinate time function on a flat backend; the
         # analytic null-distance fast path is gated on this flag.
         self.canonical_minkowski = canonical_minkowski
-
-    def time(self, x):
-        return self._time(x)
-
-    def witness_for(self, x):
-        for w in self.witnesses:
-            if w.contains(x):
-                return w
-        return None
 
     def common_witness(self, x, y):
         for w in self.witnesses:
@@ -218,7 +209,7 @@ class PiecewiseCausalCurve:
         if not self.is_future_causal:
             raise ValueError("tau length is only defined for future-directed curves")
         self.validate()
-        return sum((self.space.tau(a, b) for a, b in zip(self.points, self.points[1:])), 0)
+        return self.cumulative_tau()[-1]
 
     def cumulative_tau(self):
         acc = [0]
@@ -451,7 +442,7 @@ def check_anti_lipschitz(space: Space, bundle: TimeFunctionBundle, sample_budget
     tol = resolve_tol(space, tol)
     cases = []
     for x, y in space.sample_causal_pairs(make_rng(seed), sample_budget):
-        if bundle.witness_for(x) is None:
+        if bundle.common_witness(x, x) is None:
             raise WitnessMissing(f"no anti-Lipschitz witness covers {x}")
         if bundle.common_witness(x, y) is not None:
             cases.append((x, y, None))

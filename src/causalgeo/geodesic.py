@@ -107,14 +107,11 @@ class DyadicCurve:
         for k in range(denom):
             yield Fraction(k, denom), Fraction(k + 1, denom)
 
-    def endpoint_time_gap(self):
-        return self.bundle.time(self.q) - self.bundle.time(self.p)
-
     def holder_exponent(self):
         return -math.log2(1 - self.c) if self.c < 1 else 1.0
 
     def holder_constant(self):
-        return 2 * float(self.endpoint_time_gap()) / self.c
+        return 2 * float(self.bundle.time(self.q) - self.bundle.time(self.p)) / self.c
 
     def as_dict(self):
         entries = []
@@ -440,20 +437,24 @@ def _truncations(curve, fr):
     return [((num << n) // den) << (depth - n) for n in range(1, depth + 1)]
 
 
+def _parameter_pairs(curve, sample_budget, seed):
+    """Seeded parameters t1 < t2 in [0, 1] (a draw of two equal ones is
+    skipped) with their points gamma(t1), gamma(t2) on the extension."""
+    rng = make_rng(seed)
+    for _ in range(sample_budget):
+        t1, t2 = sorted(rng.uniform(0.0, 1.0, size=2))
+        if t1 < t2:
+            t1, t2 = float(t1), float(t2)
+            yield t1, t2, extend_curve(curve, t1), extend_curve(curve, t2)
+
+
 def check_causal_extension(curve: DyadicCurve, sample_budget: int = 100,
                            seed: int = DEFAULT_SEED, tol=None) -> Certificate:
     """Causal ordering gamma(t1) <= gamma(t2) on sampled real parameters."""
-    rng = make_rng(seed)
     denom = 1 << curve.depth
-    cases = []
-    for _ in range(sample_budget):
-        t1, t2 = sorted(rng.uniform(0.0, 1.0, size=2))
-        if t1 == t2:
-            continue
-        g1, g2 = extend_curve(curve, t1), extend_curve(curve, t2)
-        d1 = Fraction(math.floor(t1 * denom), denom)
-        d2 = Fraction(math.ceil(t2 * denom), denom)
-        cases.append((g1, g2, float(t1), float(t2), str(d1), str(d2)))
+    cases = [(g1, g2, t1, t2, str(Fraction(math.floor(t1 * denom), denom)),
+              str(Fraction(math.ceil(t2 * denom), denom)))
+             for t1, t2, g1, g2 in _parameter_pairs(curve, sample_budget, seed)]
     draft = Certificate("causal_extension", None, float(resolve_tol(curve.space, tol)),
                         len(cases), seed)
     return certify(draft, curve.space, curve.bundle, cases, first)[0]
@@ -482,15 +483,10 @@ def check_realizer(curve: DyadicCurve, sample_budget: int = 200,
     eps = curve.epsilon
     trunc = 2.0 ** -curve.depth
     approximate = curve.mode == APPROXIMATE
-    rng = make_rng(seed)
-    pairs = [(0.0, 1.0)]
-    for _ in range(sample_budget):
-        t1, t2 = sorted(rng.uniform(0.0, 1.0, size=2))
-        if t1 < t2:
-            pairs.append((float(t1), float(t2)))
+    pairs = [(0.0, 1.0, extend_curve(curve, 0.0), extend_curve(curve, 1.0)),
+             *_parameter_pairs(curve, sample_budget, seed)]
     cases = []
-    for t1, t2 in pairs:
-        g1, g2 = extend_curve(curve, t1), extend_curve(curve, t2)
+    for t1, t2, g1, g2 in pairs:
         if approximate:
             lo_speed, hi_speed = tau_pq - eps, tau_pq + eps
             lo = (t2 - t1) * lo_speed - 2 * trunc * lo_speed - tol
@@ -508,7 +504,7 @@ def check_realizer(curve: DyadicCurve, sample_budget: int = 200,
     draft = Certificate("realizer", None, tol, len(pairs), seed)
     cert, completed = certify(draft, space, curve.bundle, cases, first, count=False)
     max_deviation = 0.0 if approximate else max(
-        [0.0, *(abs(w[3] - (t2 - t1) * tau_pq) for w, (t1, t2) in zip(completed, pairs))])
+        [0.0, *(abs(w[3] - (t2 - t1) * tau_pq) for w, (t1, t2, *_) in zip(completed, pairs))])
     return replace(cert, data={"max_deviation": max_deviation,
                                "tau_length": length,
                                "sandwich_slack": 2 * trunc * tau_pq,
@@ -583,18 +579,15 @@ def synthesize_geodesic(space: Space, bundle: TimeFunctionBundle, p, q, c: float
         raise ValueError("certificates need at least one refinement level")
     if p == q or not space.chronological(p, q):
         curve = _null_branch_curve(space, bundle, p, q, c, depth)
+        certificates = {}
+    else:
+        curve = build_dyadic_curve(space, bundle, p, q, c, depth, mode, epsilon, tol)
         certificates = {
-            "causal_extension": check_causal_extension(curve, sample_budget, seed, tol),
-            "realizer": check_realizer(curve, sample_budget, seed, tol),
+            "subsequent_dyadic_bound": check_subsequent_bound(curve, bundle, tol),
+            "holder": check_holder(curve, bundle, 10 * sample_budget, seed, tol),
+            "extension_tail": check_extension_tail(curve, max(sample_budget // 4, 10),
+                                                   seed, tol),
         }
-        return curve, certificates
-
-    curve = build_dyadic_curve(space, bundle, p, q, c, depth, mode, epsilon, tol)
-    certificates = {
-        "subsequent_dyadic_bound": check_subsequent_bound(curve, bundle, tol),
-        "holder": check_holder(curve, bundle, 10 * sample_budget, seed, tol),
-        "extension_tail": check_extension_tail(curve, max(sample_budget // 4, 10), seed, tol),
-        "causal_extension": check_causal_extension(curve, sample_budget, seed, tol),
-        "realizer": check_realizer(curve, sample_budget, seed, tol),
-    }
+    certificates["causal_extension"] = check_causal_extension(curve, sample_budget, seed, tol)
+    certificates["realizer"] = check_realizer(curve, sample_budget, seed, tol)
     return curve, certificates

@@ -57,11 +57,6 @@ class MidpointQuery:
         if not 0 < self.c <= 0.5:
             raise ValueError("compatibility constant must lie in (0, 1/2]")
 
-    def effective_epsilon(self, tau_pq):
-        if self.epsilon_hat > 0:
-            return float(tau_pq) * self.epsilon_hat
-        return self.epsilon
-
 
 def is_eps_tau_midpoint(space: Space, p, q, y, epsilon: float, tol=None) -> bool:
     """Both half-separation inequalities, strict for epsilon > 0.
@@ -168,13 +163,15 @@ class LensStrip:
 # -- search -------------------------------------------------------------------
 
 
-def _strip_fraction(bundle, p, q, y):
-    """Position of T(y) inside [T(p), T(q)], as an exact fraction of the gap."""
+def _strip_margin(bundle, p, q, y):
+    """min(u, 1-u) for the position u of T(y) in [T(p), T(q)] as a fraction
+    of the gap: the largest c whose strip holds y (0 when T(q) <= T(p))."""
     tp, tq, ty = bundle.time(p), bundle.time(q), bundle.time(y)
     gap = tq - tp
     if gap <= 0:
-        return None
-    return (ty - tp) / gap
+        return 0
+    u = (ty - tp) / gap
+    return min(u, 1 - u)
 
 
 def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
@@ -190,15 +187,10 @@ def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
     """
     t_center = (bundle.time(p) + bundle.time(q)) / 2
     half = tau_pq / 2
+    slack = 0 if space.is_discrete else tol
 
     def in_strip(y):
-        if c is None:
-            return True
-        u = _strip_fraction(bundle, p, q, y)
-        if u is None:
-            return False
-        slack = 0 if space.is_discrete else tol
-        return c - slack <= u <= 1 - c + slack
+        return c is None or _strip_margin(bundle, p, q, y) >= c - slack
 
     def feasible(y):
         """``(y, tau(p, y), tau(y, q))`` when y is in the universe, the lens
@@ -275,8 +267,8 @@ def find_midpoint(space: Space, bundle: TimeFunctionBundle, query: MidpointQuery
         raise NotChronological(f"{p} and {q} are not chronologically related")
     tol = resolve_tol(space, tol)
     tau_pq = space.tau(p, q)
-    found = _search_with_taus(space, bundle, p, q, query.effective_epsilon(tau_pq),
-                              query.c, tol, tau_pq)
+    eps = float(tau_pq) * query.epsilon_hat if query.epsilon_hat > 0 else query.epsilon
+    found = _search_with_taus(space, bundle, p, q, eps, query.c, tol, tau_pq)
     return None if found is None else found[0]
 
 
@@ -319,8 +311,7 @@ def _compatibility(space, bundle, cert, a, b, _best_c, _midpoint):
         # An empty lens fails midpoint existence, which compatibility assumes.
         return (a, b, None, None), False
     y = found[0]
-    u = _strip_fraction(bundle, a, b, y)
-    best_c = 0 if u is None else min(u, 1 - u)
+    best_c = _strip_margin(bundle, a, b, y)
     slack = 0 if space.is_discrete else cert.tolerance
     return (a, b, best_c, y), best_c < cert.data["c"] - slack
 

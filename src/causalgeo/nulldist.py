@@ -42,9 +42,6 @@ class NullLengthValue:
     value: float
     decomposition: tuple
 
-    def __float__(self):
-        return float(self.value)
-
 
 @dataclass(frozen=True)
 class NullDistanceResult:
@@ -240,13 +237,10 @@ def null_distance(space: Space, bundle: TimeFunctionBundle, p, q,
             curve = PiecewiseCausalCurve(space, (p,), ())
             return NullDistanceResult(bundle.time(p) - bundle.time(p), curve,
                                       "causal_exact")
-        if space.causal_le(p, q):
-            curve = PiecewiseCausalCurve(space, (p, q), (FUTURE,))
+        forward = space.causal_le(p, q)
+        if forward or space.causal_le(q, p):
+            curve = PiecewiseCausalCurve(space, (p, q), (FUTURE if forward else PAST,))
             return NullDistanceResult(abs(bundle.time(q) - bundle.time(p)), curve,
-                                      "causal_exact")
-        if space.causal_le(q, p):
-            curve = PiecewiseCausalCurve(space, (p, q), (PAST,))
-            return NullDistanceResult(abs(bundle.time(p) - bundle.time(q)), curve,
                                       "causal_exact")
         method = "graph" if space.is_discrete else "zigzag"
 

@@ -26,7 +26,7 @@ from itertools import accumulate
 
 from .core import (AntiLipschitzWitness, Space, TimeFunctionBundle, atomic_write,
                    csv_rows, csv_text, json_text)
-from .errors import EmptySprinkle, NotComplete
+from .errors import BudgetExceeded, EmptySprinkle, NotComplete
 
 
 class MinkowskiSpace(Space):
@@ -164,22 +164,12 @@ class PuncturedMinkowski(MinkowskiSpace):
     def contains(self, x):
         return tuple(x) not in self.removed
 
-    def _require(self, *pts):
-        for p in pts:
+    def _delta(self, x, y):
+        # causal_le, chronological and tau all read the pair through here.
+        for p in (x, y):
             if not self.contains(p):
                 raise ValueError(f"{p} has been removed from the universe")
-
-    def causal_le(self, x, y):
-        self._require(x, y)
-        return super().causal_le(x, y)
-
-    def chronological(self, x, y):
-        self._require(x, y)
-        return super().chronological(x, y)
-
-    def tau(self, x, y):
-        self._require(x, y)
-        return super().tau(x, y)
+        return super()._delta(x, y)
 
     def limit_point(self, points):
         limit = super().limit_point(points)
@@ -285,11 +275,7 @@ class CausalSetSpace(Space):
         stack = [self._ids[0]]
         while stack:
             v = stack.pop()
-            for w, _ in self._out[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-            for w, _ in self._in[v]:
+            for w, _ in self._out[v] + self._in[v]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -496,8 +482,6 @@ def _bits(mask):
 
 
 def _sample_from(items, rng, count):
-    if not items:
-        return []
     if len(items) <= count:
         return list(items)
     idx = rng.choice(len(items), size=count, replace=False)
@@ -562,6 +546,11 @@ def causet_time_bundle(space: CausalSetSpace) -> TimeFunctionBundle:
 
 # -- sprinkling ----------------------------------------------------------------
 
+# The most points a sprinkle may expect.  Time grows about as n^1.9: density
+# 10,000 on the unit diamond (n = 5,062, 35,897 links) took 21 s and 68 MB on
+# a shared 2-core machine, so n = 10,000 is near 80 s.
+MAX_SPRINKLE_POINTS = 10_000
+
 
 def sprinkle_causet(diamond_corners, density: float, seed: int,
                     include_corners: bool = True) -> CausalSetSpace:
@@ -571,7 +560,9 @@ def sprinkle_causet(diamond_corners, density: float, seed: int,
     diamond (sampled exactly in null coordinates).  Edges are the links of
     the Minkowski causal order (its Hasse diagram: related pairs with no
     sprinkled point between them), weighted by the Minkowski time separation
-    of their endpoints; vertex time is the t coordinate.
+    of their endpoints; vertex time is the t coordinate.  Raises
+    BudgetExceeded before drawing when density * area exceeds
+    ``MAX_SPRINKLE_POINTS``.
     """
     if density <= 0:
         raise ValueError("density must be positive")
@@ -588,6 +579,10 @@ def sprinkle_causet(diamond_corners, density: float, seed: int,
     u_lo, u_hi = p[0] - p[1], q[0] - q[1]
     v_lo, v_hi = p[0] + p[1], q[0] + q[1]
     area = (u_hi - u_lo) * (v_hi - v_lo) / 2.0
+    if density * area > MAX_SPRINKLE_POINTS:
+        raise BudgetExceeded(f"density {density:g} on a diamond of area {area:g} expects "
+                             f"{density * area:g} points, over the limit of "
+                             f"{MAX_SPRINKLE_POINTS}")
 
     import numpy as np
 
@@ -631,8 +626,10 @@ def _encode_rational(value):
 
 
 def _parse_rational(text):
-    """A "p/q" cell exactly; any other cell as a float, as decimal files always read."""
-    return Fraction(text) if "/" in text else float(text)
+    """A "p/q" or integer cell exactly; any other cell as a float, as decimal
+    files always read."""
+    exact = "/" in text or text.strip().lstrip("+-").isdigit()
+    return Fraction(text) if exact else float(text)
 
 
 def save_causet_json(space: CausalSetSpace, path):

@@ -176,6 +176,23 @@ class TestGeodesicCommand:
         config.set("geodesic", "depth", str(MAX_DEPTH))
         config.validate()
 
+    @pytest.mark.parametrize("geodesic, named", [
+        ("mode = approximate\nepsilon = 0.05\nepsilon_hat = 0.3\n",
+         ("geodesic.epsilon", "geodesic.epsilon_hat")),
+        ("mode = approximate\n", ("geodesic.epsilon", "geodesic.epsilon_hat")),
+        ("mode = exact\nepsilon_hat = 0.3\n", ("geodesic.epsilon_hat",)),
+        ("mode = exact\nepsilon = 0.3\n", ("geodesic.epsilon",)),
+    ], ids=["approximate-both", "approximate-neither", "exact-epsilon-hat", "exact-epsilon"])
+    def test_one_tolerance_only_in_approximate_mode(self, tmp_path, capsys, geodesic, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[geodesic]\n" + geodesic)
+        out = tmp_path / "o"
+        assert run("geodesic", "--config", str(cfg), "--out", str(out), "--depth", "3") == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in named)
+        assert "Traceback" not in err
+        assert not out.exists()
+
     PUNCTURED = "[backend]\nkind = punctured\nremoved = 1,0\n"
 
     def _geodesic(self, tmp_path, out, succeed):
@@ -443,6 +460,21 @@ class TestCausetCommand:
     def test_requires_discrete_backend(self, tmp_path):
         assert run("causet", "--out", str(tmp_path / "o")) == 2
 
+    def test_density_past_the_budget_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        import numpy as np
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the sprinkle drew points")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        out = tmp_path / "o"
+        assert run("causet", "--backend", "sprinkle", "--density", "1e9",
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "backend.density" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestPointLabels:
     def test_distance_labels_parse_back(self, tmp_path):
@@ -565,6 +597,27 @@ class TestPerCommandFlags:
         parser = _build_parser()
         for argv in lines:
             parser.parse_args(argv)
+
+    def test_benchmark_configs_validate(self, tmp_path):
+        """Every config the benchmark writes loads and validates, so a schema
+        change that breaks a benchmark run fails here."""
+        import sys
+
+        root = os.path.dirname(os.path.dirname(__file__))
+        sys.path.insert(0, os.path.join(root, "perfbench"))
+        try:
+            from workloads import WORKLOADS
+        finally:
+            sys.path.pop(0)
+        for workload in WORKLOADS.values():
+            run_dir = tmp_path / workload.name
+            run_dir.mkdir()
+            paths = workload.prepare(str(run_dir), 1)
+            assert paths, workload.name
+            for path in paths:
+                config = RunConfig()
+                config.load_file(path)
+                config.validate()
 
 
 def test_tracer_targets_resolve():

@@ -3,16 +3,19 @@
 import json
 import math
 import os
+import tempfile
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalgeo import (CausalSetSpace, MinkowskiSpace,
                        load_causet_csv, load_causet_json, save_causet_csv,
                        save_causet_json, sprinkle_causet)
 from causalgeo.core import atomic_write
-from causalgeo.errors import EmptySprinkle, NotComplete
+from causalgeo.errors import BudgetExceeded, EmptySprinkle, NotComplete
+from causalgeo.spaces import MAX_SPRINKLE_POINTS
 
 
 class TestMinkowskiTau:
@@ -190,6 +193,20 @@ class TestSprinkle:
             sprinkle_causet(((0.0, 0.0), (1.0, 0.0)), density=1e-6, seed=1,
                             include_corners=False)
 
+    def test_density_past_the_budget_is_refused_before_drawing(self, monkeypatch):
+        import numpy as np
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the sprinkle drew points")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(BudgetExceeded, match=str(MAX_SPRINKLE_POINTS)):
+            sprinkle_causet(((0.0, 0.0), (1.0, 0.0)), density=1e9, seed=0)
+        # The unit diamond has area 1/2, so the limit is on density * area.
+        with pytest.raises(BudgetExceeded):
+            sprinkle_causet(((0.0, 0.0), (1.0, 0.0)), density=2.0001 * MAX_SPRINKLE_POINTS,
+                            seed=0)
+
     def test_corner_validation(self):
         with pytest.raises(ValueError, match="chronologically"):
             sprinkle_causet(((0.0, 0.0), (0.0, 1.0)), density=10, seed=0)
@@ -348,6 +365,43 @@ class TestPersistence:
         assert loaded.time_of("b") == Fraction(0.1)
         assert loaded.tau("a", "b") == Fraction(0.1)
 
+    def test_csv_keeps_integers_above_2_53(self, tmp_path):
+        big = 2 ** 53 + 1
+        space = CausalSetSpace([("a", 0), ("b", big)], [("a", "b", big)])
+        vp, ep = tmp_path / "vertices.csv", tmp_path / "edges.csv"
+        save_causet_csv(space, vp, ep)
+        assert ep.read_text().splitlines()[1] == f"a,b,{big}"
+        loaded = load_causet_csv(vp, ep)
+        assert loaded.time_of("b") == big
+        assert loaded.edges == space.edges
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_json_and_csv_roundtrips_are_exact(self, data):
+        """Random weighted DAGs with non-dyadic and > 2^53 values reload
+        exactly equal, tau over all pairs included."""
+        values = st.one_of(st.integers(-4, 4), st.integers(-9, 9).map(lambda k: Fraction(k, 3)),
+                           st.integers(-13, 13).map(lambda k: Fraction(k, 7)),
+                           st.integers(0, 6).map(lambda k: 2 ** 53 + k),
+                           st.floats(-3, 3, allow_nan=False).map(Fraction))
+        times = sorted(set(data.draw(st.lists(values, min_size=1, max_size=7))))
+        ids = [f"v{i}" for i in range(len(times))]
+        edges = [(ids[i], ids[j], abs(data.draw(values)))
+                 for i in range(len(ids)) for j in range(i + 1, len(ids))
+                 if data.draw(st.booleans())]
+        space = CausalSetSpace(list(zip(ids, times)), edges)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_causet_json(space, os.path.join(tmp, "causet.json"))
+            paths = [os.path.join(tmp, name) for name in ("vertices.csv", "edges.csv")]
+            save_causet_csv(space, *paths)
+            loaded = [load_causet_json(os.path.join(tmp, "causet.json")),
+                      load_causet_csv(*paths)]
+        for other in loaded:
+            assert other.vertices == space.vertices
+            assert [other.time_of(v) for v in ids] == times
+            assert other.edges == space.edges
+            assert all(other.tau(x, y) == space.tau(x, y) for x in ids for y in ids)
+
     def test_sprinkle_saves_numbers_only(self, tmp_path):
         space = sprinkle_causet(((0.0, 0.0), (1.0, 0.0)), 40, seed=9)
         path = tmp_path / "causet.json"
@@ -372,6 +426,12 @@ class TestPunctured:
     def test_removed_arguments_rejected(self, punctured):
         with pytest.raises(ValueError, match="removed"):
             punctured.tau((1.0, 0.0), (2.0, 0.0))
+
+    @pytest.mark.parametrize("relation", ["causal_le", "chronological", "tau"])
+    def test_every_relation_rejects_either_removed_argument(self, punctured, relation):
+        for pair in (((1.0, 0.0), (2.0, 0.0)), ((0.0, 0.0), (1.0, 0.0))):
+            with pytest.raises(ValueError, match="removed"):
+                getattr(punctured, relation)(*pair)
 
     def test_relations_restrict(self, punctured):
         assert punctured.tau((0.0, 0.0), (2.0, 0.0)) == 2.0
