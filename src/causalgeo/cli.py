@@ -11,7 +11,9 @@ outputs can be reproduced byte-identically, and all files are written
 atomically (temp file plus rename).
 
 Exit codes: 0 all certificates pass, 1 a certificate failed or a
-construction hypothesis broke, 2 usage or configuration error.
+construction hypothesis broke, 2 usage or configuration error.  Exit 2 writes
+nothing; any other error writes ``failure.json`` (error class and detail) in
+place of the command's outputs.
 """
 
 from __future__ import annotations
@@ -251,19 +253,20 @@ def write_manifest(config: RunConfig, outdir, command):
     atomic_write(os.path.join(outdir, "manifest.json"), json_text(manifest))
 
 
-def _summary_table(certs):
+def _report(certs, outdir):
+    """Write ``certificates.json`` and ``summary.txt``, print the summary and
+    return the exit code: 0 when every certificate passes, else 1."""
     lines = ["certificate                 verdict  samples  tolerance"]
     for name in sorted(certs):
         cert = certs[name]
         lines.append(f"{name:<27} {cert.verdict:<8} {cert.samples_checked:<8} "
                      f"{cert.tolerance:g}")
-    return "\n".join(lines) + "\n"
-
-
-def _write_certs(certs, outdir):
+    summary = "\n".join(lines) + "\n"
     payload = [certs[name].as_dict() for name in sorted(certs)]
     atomic_write(os.path.join(outdir, "certificates.json"), json_text(payload))
-    atomic_write(os.path.join(outdir, "summary.txt"), _summary_table(certs))
+    atomic_write(os.path.join(outdir, "summary.txt"), summary)
+    print(summary, end="")
+    return 0 if all(cert.passed for cert in certs.values()) else 1
 
 
 def _remove_stale(outdir, *names):
@@ -286,9 +289,8 @@ def _point_label(point):
 # -- subcommands -------------------------------------------------------------------
 
 
-def cmd_geodesic(config: RunConfig) -> int:
+def cmd_geodesic(config: RunConfig, space) -> int:
     outdir = config["run"]["out"]
-    space = build_space(config)
     bundle = build_bundle(config, space)
     geo = config["geodesic"]
     p = check_point(space, geo["p"], "geodesic.p")
@@ -299,34 +301,14 @@ def cmd_geodesic(config: RunConfig) -> int:
     epsilon = geo["epsilon"]
     if geo["epsilon_hat"] > 0:
         epsilon = geo["epsilon_hat"] * float(space.tau(p, q))
-    write_manifest(config, outdir, "geodesic")
-    try:
-        curve, certs = synthesize_geodesic(
-            space, bundle, p, q, geo["c"], geo["depth"], geo["mode"], epsilon,
-            sample_budget=config["certify"]["sample_budget"],
-            seed=config["run"]["seed"])
-    except MidpointUnavailable as exc:
-        failure = {
-            "error": "MidpointUnavailable",
-            "level": exc.level,
-            "pair": [_point_label(exc.pair[0]), _point_label(exc.pair[1])],
-            "detail": exc.detail,
-        }
-        atomic_write(os.path.join(outdir, "failure.json"), json_text(failure))
-        _remove_stale(outdir, "curve.json", "certificates.json", "summary.txt")
-        print(f"geodesic synthesis failed: {exc}", file=sys.stderr)
-        return 1
+    curve, certs = synthesize_geodesic(
+        space, bundle, p, q, geo["c"], geo["depth"], geo["mode"], epsilon,
+        sample_budget=config["certify"]["sample_budget"], seed=config["run"]["seed"])
     atomic_write(os.path.join(outdir, "curve.json"), curve.json_chunks())
-    _write_certs(certs, outdir)
-    _remove_stale(outdir, "failure.json")
-    ok = all(cert.passed for cert in certs.values())
-    print(_summary_table(certs), end="")
-    return 0 if ok else 1
+    return _report(certs, outdir)
 
 
-def cmd_nulldist(config: RunConfig) -> int:
-    outdir = config["run"]["out"]
-    space = build_space(config)
+def cmd_nulldist(config: RunConfig, space) -> int:
     bundle = build_bundle(config, space)
     section = config["nulldist"]
     if not section["pairs_file"]:
@@ -340,7 +322,6 @@ def cmd_nulldist(config: RunConfig) -> int:
     for a, b in pairs:
         check_point(space, a, "src")
         check_point(space, b, "dst")
-    write_manifest(config, outdir, "nulldist")
 
     def row(a, b):
         try:
@@ -350,14 +331,13 @@ def cmd_nulldist(config: RunConfig) -> int:
         except NotConnected:
             return [_point_label(a), _point_label(b), "inf", section["method"]]
 
-    atomic_write(os.path.join(outdir, "distances.csv"), csv_text(
+    atomic_write(os.path.join(config["run"]["out"], "distances.csv"), csv_text(
         ["src", "dst", "d_T", "method"], (row(a, b) for a, b in pairs)))
     return 0
 
 
-def cmd_lens(config: RunConfig) -> int:
+def cmd_lens(config: RunConfig, space) -> int:
     outdir = config["run"]["out"]
-    space = build_space(config)
     if space.is_discrete or space.spatial_dimension != 1:
         raise UnsupportedBackend("the lens figure needs the R^{1,1} backend")
     bundle = build_bundle(config, space)
@@ -373,7 +353,6 @@ def cmd_lens(config: RunConfig) -> int:
     lens = LensStrip(space, bundle, p, q, epsilon, section["c"])
     if lens.epsilon >= lens.half:
         raise ConfigError(f"lens.epsilon = {epsilon} must be below tau(p,q)/2 = {lens.half}")
-    write_manifest(config, outdir, "lens")
     atomic_write(os.path.join(outdir, "lens.svg"),
                  lens_figure_svg(lens, section["resolution"]))
     rows = ([curve_id, f"{t:.9f}", f"{x:.9f}"]
@@ -383,9 +362,7 @@ def cmd_lens(config: RunConfig) -> int:
     return 0
 
 
-def cmd_certify(config: RunConfig) -> int:
-    outdir = config["run"]["out"]
-    space = build_space(config)
+def cmd_certify(config: RunConfig, space) -> int:
     bundle = build_bundle(config, space)
     section = config["certify"]
     budget = section["sample_budget"]
@@ -401,19 +378,14 @@ def cmd_certify(config: RunConfig) -> int:
     }
     if bundle.canonical_minkowski:
         certs["analytic_fast_path"] = validate_analytic_fast_path(space, bundle,
-                                                                  budget, seed)
-    write_manifest(config, outdir, "certify")
-    _write_certs(certs, outdir)
-    print(_summary_table(certs), end="")
-    return 0 if all(cert.passed for cert in certs.values()) else 1
+                                                                  budget, seed, tol)
+    return _report(certs, config["run"]["out"])
 
 
-def cmd_causet(config: RunConfig) -> int:
+def cmd_causet(config: RunConfig, space) -> int:
     outdir = config["run"]["out"]
-    space = build_space(config)
     if not space.is_discrete:
         raise ConfigError("causet command needs a causet or sprinkle backend")
-    write_manifest(config, outdir, "causet")
     save_causet_json(space, os.path.join(outdir, "causet.json"))
     save_causet_csv(space, os.path.join(outdir, "vertices.csv"),
                     os.path.join(outdir, "edges.csv"))
@@ -444,12 +416,14 @@ _FLAGS = {
     "pairs": ("nulldist", "pairs_file", {"help": "CSV pair list for the nulldist command"}),
 }
 _COMMON_FLAGS = ("seed", "out", "backend", "density")
+# Command -> (function, own flags, the outputs it writes beside manifest.json).
 _COMMANDS = {
-    "geodesic": (cmd_geodesic, ("depth", "c", "epsilon", "epsilon_hat", "mode")),
-    "nulldist": (cmd_nulldist, ("method", "pairs")),
-    "lens": (cmd_lens, ()),
-    "certify": (cmd_certify, ()),
-    "causet": (cmd_causet, ()),
+    "geodesic": (cmd_geodesic, ("depth", "c", "epsilon", "epsilon_hat", "mode"),
+                 ("curve.json", "certificates.json", "summary.txt")),
+    "nulldist": (cmd_nulldist, ("method", "pairs"), ("distances.csv",)),
+    "lens": (cmd_lens, (), ("lens.svg", "boundary.csv")),
+    "certify": (cmd_certify, (), ("certificates.json", "summary.txt")),
+    "causet": (cmd_causet, (), ("causet.json", "vertices.csv", "edges.csv")),
 }
 
 
@@ -460,18 +434,19 @@ def _build_parser():
         description="Null distances, tau-midpoints and dyadic geodesic synthesis "
                     "on causal-space backends.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, own_flags) in _COMMANDS.items():
+    for name, (_, own_flags, _) in _COMMANDS.items():
         sub = subs.add_parser(name, allow_abbrev=False)
         sub.add_argument("--config", help="INI run configuration file")
         for flag in _COMMON_FLAGS + own_flags:
             sub.add_argument("--" + flag.replace("_", "-"), dest=flag, **_FLAGS[flag][2])
-        sub.set_defaults(func=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; every run but a config error writes its manifest,
+    and a toolkit error writes ``failure.json`` in place of the outputs."""
+    args = _build_parser().parse_args(argv)
+    fn, _, outputs = _COMMANDS[args.command]
     config = RunConfig()
     try:
         if args.config:
@@ -481,13 +456,21 @@ def main(argv=None) -> int:
             if value is not None:
                 config.sections[section][key] = value
         config.validate()
-        return args.func(config)
+        status, stale = fn(config, build_space(config)), ("failure.json",)
     except (ConfigError, UnsupportedBackend, DegenerateStrip) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CausalGeoError as exc:
+        failure = {"error": type(exc).__name__, "detail": str(exc)}
+        if isinstance(exc, MidpointUnavailable):
+            failure.update(level=exc.level, pair=[_point_label(x) for x in exc.pair],
+                           detail=exc.detail)
+        atomic_write(os.path.join(config["run"]["out"], "failure.json"), json_text(failure))
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        status, stale = 1, outputs
+    write_manifest(config, config["run"]["out"], args.command)
+    _remove_stale(config["run"]["out"], *stale)
+    return status
 
 
 if __name__ == "__main__":

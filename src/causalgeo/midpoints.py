@@ -108,9 +108,7 @@ class LensStrip:
                               self.epsilon, self.tol)
 
     def in_strip(self, y) -> bool:
-        lo, hi = self.strip_levels
-        t = self.bundle.time(y)
-        return lo - self.tol <= t <= hi + self.tol
+        return _strip_margin(self.bundle, self.p, self.q, y) >= self.c - self.tol
 
     def _require_plane(self):
         if self.space.is_discrete or len(self.p) != 2:

@@ -446,6 +446,26 @@ class TestCertifyCommand:
             assert run("certify", "--config", str(cfg), "--out", str(out)) == expected
 
 
+    def test_tolerance_reaches_every_certificate(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[certify]\nsample_budget = 10\ntolerance = 1e-6\n")
+        out = tmp_path / "o"
+        assert run("certify", "--config", str(cfg), "--out", str(out)) == 0
+        certs = {c["name"]: c for c in read_json(out / "certificates.json")}
+        assert "analytic_fast_path" in certs
+        assert {c["tolerance"] for c in certs.values()} == {1e-6}
+
+    def test_failure_removes_outputs_of_an_earlier_success(self, tmp_path):
+        out = tmp_path / "o"
+        assert run("certify", "--out", str(out)) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[time_function]\nkind = cubic\n")
+        assert run("certify", "--config", str(cfg), "--out", str(out)) == 1
+        assert sorted(os.listdir(out)) == ["failure.json", "manifest.json"]
+        assert read_json(out / "failure.json")["error"] == "WitnessMissing"
+        assert read_json(out / "manifest.json")["config"]["time_function"]["kind"] == "cubic"
+
+
 class TestCausetCommand:
     def test_sprinkle_roundtrip(self, tmp_path):
         out = tmp_path / "o"
@@ -473,6 +493,53 @@ class TestCausetCommand:
         err = capsys.readouterr().err
         assert "backend.density" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestRunLifecycle:
+    """``main`` settles the output directory the same way for every subcommand."""
+
+    TINY = {"geodesic": ["--depth", "3"], "nulldist": ["--pairs", "pairs.csv"], "lens": [],
+            "certify": [], "causet": ["--backend", "sprinkle", "--density", "40"]}
+    OUTPUTS = {"geodesic": ("curve.json", "certificates.json", "summary.txt"),
+               "nulldist": ("distances.csv",), "lens": ("lens.svg", "boundary.csv"),
+               "certify": ("certificates.json", "summary.txt"),
+               "causet": ("causet.json", "vertices.csv", "edges.csv")}
+
+    @staticmethod
+    def _run(tmp_path, monkeypatch, name, argv, config):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pairs.csv").write_text("src,dst\n0;0,2;0\n")
+        (tmp_path / "run.cfg").write_text(config)
+        return run(name, "--config", "run.cfg", "--out", "o", *argv), tmp_path / "o"
+
+    @pytest.mark.parametrize("name", sorted(TINY))
+    def test_success_writes_the_listed_outputs_and_the_manifest(self, tmp_path, monkeypatch,
+                                                                name):
+        status, out = self._run(tmp_path, monkeypatch, name, self.TINY[name],
+                                "[lens]\nresolution = 8\n[certify]\nsample_budget = 10\n")
+        assert status == 0
+        assert sorted(os.listdir(out)) == sorted(("manifest.json",) + self.OUTPUTS[name])
+        assert read_json(out / "manifest.json")["command"] == name
+
+    def test_command_table_lists_the_outputs(self):
+        """The outputs a failure removes are the ones each command writes."""
+        from causalgeo.cli import _COMMANDS
+        assert {name: entry[2] for name, entry in _COMMANDS.items()} == self.OUTPUTS
+
+    @pytest.mark.parametrize("name, config", [
+        ("geodesic", "[geodesic]\nq = 0,1\n"),
+        ("nulldist", "[backend]\nkind = punctured\nremoved = 2,0\n"),
+        ("lens", "[lens]\nepsilon = 5\n"),
+        ("certify", "[backend]\nkind = sprinkle\ndensity = 40\n"
+                    "[time_function]\nkind = cubic\n"),
+        ("causet", "[backend]\nkind = punctured\nremoved = 2,0\n"),
+    ])
+    def test_config_error_writes_nothing(self, tmp_path, monkeypatch, capsys, name, config):
+        argv = [] if name == "causet" else self.TINY[name]
+        status, out = self._run(tmp_path, monkeypatch, name, argv, config)
+        assert status == 2
+        assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
 
