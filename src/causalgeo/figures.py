@@ -75,7 +75,7 @@ def lens_figure_svg(lens: LensStrip, samples: int = 200) -> str:
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">',
         '<g fill="none" stroke="black" stroke-width="1.5">',
     ]
-    for curve_id in ("lens_upper", "lens_lower"):
+    for curve_id in ("lens_p", "lens_q"):
         poly = named[curve_id]
         if len(poly) > 1:
             parts.append(f'<path id="{curve_id}" d="{path(poly)}"/>')

@@ -12,8 +12,9 @@ rest frame: the lens arcs, and the largest eps whose lens fits the strip.
 Midpoint search is deterministic: on finite backends an id-ordered
 enumeration; on flat backends the affine midpoint (p+q)/2, which is the
 unique exact tau-midpoint there, built in the p-q plane frame and rejected
-when it falls on a removed point, followed in the approximate case by a
-fixed offset ladder and a raster fallback.  There is one search,
+when it falls on a removed point; in the approximate case, one closed-form
+candidate on the lens's level of T nearest (T(p)+T(q))/2, in the p-q
+plane.  There is one search,
 :func:`_search_with_taus`, behind :func:`find_midpoint`, the dyadic build
 and the compatibility certificate, which drops the strip filter and reads
 the best constant off the selected point.  Given tau(p,q), the search
@@ -127,8 +128,8 @@ class LensStrip:
     def boundary_polylines(self, samples: int = 200):
         """The two hyperbola arcs bounding the lens on R^{1,1}, sampled.
 
-        ``lens_upper`` is the p-centred arc, lower in lab time; the golden
-        figure's path ids keep the names.
+        ``lens_p`` is the arc of points at tau r from p, the earlier in lab
+        time, and ``lens_q`` the arc at tau r to q.
 
         In the pair's rest frame they are t' = r cosh(theta) and
         t' = tau - r cosh(theta), r = tau/2 - epsilon, meeting where
@@ -139,7 +140,7 @@ class LensStrip:
         self._require_plane()
         if self.epsilon == 0:
             m = PlaneFrame(self.p, self.q).midpoint()
-            return [("lens_upper", [m]), ("lens_lower", [m])]
+            return [("lens_p", [m]), ("lens_q", [m])]
         radius = self.half - self.epsilon
         if radius <= 0:
             raise ValueError("epsilon >= tau/2 leaves no hyperbola boundary to draw")
@@ -151,11 +152,11 @@ class LensStrip:
         if samples % 2 == 0:
             samples += 1
         thetas = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-        upper = [(p[0] + radius * math.cosh(th), p[1] + radius * math.sinh(th))
+        arc_p = [(p[0] + radius * math.cosh(th), p[1] + radius * math.sinh(th))
                  for th in thetas]
-        lower = [(q[0] - radius * math.cosh(th), q[1] - radius * math.sinh(th))
+        arc_q = [(q[0] - radius * math.cosh(th), q[1] - radius * math.sinh(th))
                  for th in thetas]
-        return [("lens_upper", upper), ("lens_lower", lower)]
+        return [("lens_p", arc_p), ("lens_q", arc_q)]
 
 
 # -- search -------------------------------------------------------------------
@@ -176,12 +177,26 @@ def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
     """Deterministic feasible-point search given ``tau_pq = tau(p, q)``;
     ``c=None`` drops the strip filter.
 
+    Returns ``(y, tau(p, y), tau(y, q))`` for the selected point y, or None;
+    each candidate's two half-separations are evaluated once and reused, so
+    a caller that refines the pair again needs no further tau.
+
     Selection rule: minimize |T(y) - (T(p)+T(q))/2|, ties broken by smallest
-    vertex id (discrete) or lexicographically smallest coordinates (raster
-    fallback on flat backends).  Returns ``(y, tau(p, y), tau(y, q))`` for
-    the selected point y, or None.  Each candidate's two half-separations
-    are evaluated once and reused, so a caller that refines the pair again
-    needs no further tau.
+    vertex id on discrete backends.  On flat ones with eps > 0 both time
+    functions depend on t alone and increase with it, so the rule picks a
+    level: t* = T^-1(T_center), clamped (tol inside) to the lens's lab times
+    t_p + reach .. t_q - reach, with reach the vertex r = tau/2 - eps or the
+    corner dt/2 - sinh|phi| sqrt(eps (tau - eps)) of the p-arc, as in
+    :func:`lens_in_strip_epsilon`.  The lens is {tau(p,.) > r} & {tau(.,q) > r}
+    (the upper bounds follow from the reverse triangle inequality); both are
+    convex and the lens is symmetric under reflection in the p-q plane, so a
+    level meets the lens iff it meets it in that plane, in the interval
+    (max(-r_p, D - r_q), min(r_p, D + r_q)), r_p = sqrt((t - t_p)^2 - r^2),
+    D = |x_q - x_p|.  The candidate is the level's point of segment p-q held
+    to the middle half of the interval; a removed one halves its distance to
+    the lower end.  At eps >= tau/2, r = 0 and the interval is the causal
+    diamond's, inside the lens.  The affine midpoint comes first when
+    T((p+q)/2) == T_center, as for coordinate time.
     """
     t_center = (bundle.time(p) + bundle.time(q)) / 2
     half = tau_pq / 2
@@ -200,16 +215,14 @@ def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
             return None
         return y, left, right
 
-    def most_central(found):
-        return min(found, key=lambda f: (abs(bundle.time(f[0]) - t_center), f[0]))
-
     if space.is_discrete:
         # Off the diamond J+(p) & J-(q) one half-separation is |0 - tau(p,q)/2|,
         # so when that misses the tolerance only diamond vertices can qualify.
         off_diamond_infeasible = half >= eps if eps > 0 else half > tol
         pool = space.causal_diamond(p, q) if off_diamond_infeasible else space.points()
         found = [f for f in map(feasible, pool) if f is not None]
-        return most_central(found) if found else None
+        return min(found, key=lambda f: (abs(bundle.time(f[0]) - t_center), f[0]),
+                   default=None)
 
     frame = PlaneFrame(p, q)
     exact = frame.midpoint()
@@ -222,35 +235,23 @@ def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
             return None
         return feasible(exact)
 
-    found = feasible(exact)
-    if found is not None:
-        return found
+    if bundle.time(exact) == t_center:
+        found = feasible(exact)
+        if found is not None:
+            return found
 
-    def offset(dt, ds):
-        return (exact[0] + dt, *(e + ds * u for e, u in zip(exact[1:], frame.unit)))
-
-    sigma = min(eps, float(tau_pq) / 8)
-    for k in range(-10, 4):
-        r = sigma * (2.0 ** k)
-        for cand in (offset(0.0, -r), offset(0.0, r), offset(-r, 0.0), offset(r, 0.0),
-                     offset(-r, -r), offset(-r, r), offset(r, -r), offset(r, r)):
-            found = feasible(cand)
-            if found is not None:
-                return found
-
-    # Raster fallback over the lens bounding region, centered on the exact
-    # solution, preferring time-centered then lexicographically small points.
-    reach = float(tau_pq) / 2
-    best = None
-    for _ in range(2):
-        grid = [feasible(offset(-reach / 2 + reach * i / 40, -reach + 2 * reach * j / 40))
-                for i in range(41) for j in range(41)]
-        grid = [f for f in grid if f is not None]
-        if grid:
-            cand = most_central(grid)
-            best = cand if best is None else most_central((best, cand))
-        reach /= 4
-    return best
+    tp, tq, span = p[0], q[0], frame.span
+    r = max(half - eps, 0.0)
+    h, s = math.sqrt(half * half - r * r), span / tau_pq
+    reach = r if s * r <= h else (tq - tp) / 2 - s * h
+    t = min(max(time_at_level(bundle, t_center, tp, tq), tp + reach + tol), tq - reach - tol)
+    r_p = math.sqrt(max((t - tp) ** 2 - r * r, 0.0))
+    r_q = math.sqrt(max((tq - t) ** 2 - r * r, 0.0))
+    lo, hi = max(-r_p, span - r_q), min(r_p, span + r_q)
+    x = min(max(span * (t - tp) / (tq - tp), lo + (hi - lo) / 4), hi - (hi - lo) / 4)
+    if not space.contains(frame.embed(t, x)):
+        x = (lo + x) / 2
+    return feasible(frame.embed(t, x))
 
 
 def find_midpoint(space: Space, bundle: TimeFunctionBundle, query: MidpointQuery,

@@ -524,7 +524,7 @@ def cubic_time_bundle(space: MinkowskiSpace, half_width: float = 0.5) -> TimeFun
 
 def time_at_level(bundle: TimeFunctionBundle, level, t_lo, t_hi):
     """The first t in [t_lo, t_hi] with T((t, 0)) >= level, for a T of t alone
-    that increases with it (both bundles above on R^{1,1}), by bisection."""
+    that increases with it (both bundles above, on R^{1,n} for any n), by bisection."""
     for _ in range(80):
         mid = (t_lo + t_hi) / 2.0
         if bundle.time((mid, 0.0)) < level:

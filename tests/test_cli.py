@@ -335,7 +335,7 @@ class TestLensCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["curve_id", "t", "x"]
         curves = {r[0] for r in rows[1:]}
-        assert curves == {"lens_upper", "lens_lower", "strip_lower", "strip_upper",
+        assert curves == {"lens_p", "lens_q", "strip_lower", "strip_upper",
                           "time_axis"}
         strip_ts = {r[0]: float(r[1]) for r in rows[1:] if r[0].startswith("strip")}
         assert strip_ts["strip_lower"] == pytest.approx(1.6, abs=1e-6)
@@ -383,7 +383,7 @@ class TestLensCommand:
         assert run("lens", "--config", str(cfg), "--out", str(out)) == 0
         with open(out / "boundary.csv") as fh:
             curves = [row[0] for row in csv.reader(fh)]
-        assert curves.count("lens_upper") == curves.count("lens_lower") == 201
+        assert curves.count("lens_p") == curves.count("lens_q") == 201
 
     @pytest.mark.parametrize("time_kind", ["coordinate", "cubic"])
     @pytest.mark.parametrize("section", [
@@ -433,6 +433,19 @@ class TestCertifyCommand:
         assert run("certify", "--config", str(cfg), "--out", str(out)) == 1
         certs = {c["name"]: c for c in read_json(out / "certificates.json")}
         assert certs["anti_lipschitz"]["verdict"] == "fail"
+
+    def test_cubic_time_function_passes_compatibility(self, tmp_path):
+        # Each sampled pair's lens holds points whose t^3 is within the
+        # middle fifth of the pair's range; the affine midpoint's often is not.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[backend]\nwindow_t = 0.5 1.5\nwindow_radius = 0.5\n"
+                       "\n[time_function]\nkind = cubic\ncubic_half_width = 2\n"
+                       "\n[certify]\nc = 0.4\nepsilon_hat = 0.3\n")
+        out = tmp_path / "o"
+        assert run("certify", "--config", str(cfg), "--out", str(out)) == 0
+        certs = {c["name"]: c for c in read_json(out / "certificates.json")}
+        assert certs["compatibility"]["verdict"] == "pass"
+        assert certs["compatibility"]["data"]["pairs_checked"] == 200
 
     def test_skewed_diamond_compatibility_threshold(self, tmp_path, skewed_diamond):
         from causalgeo import save_causet_json

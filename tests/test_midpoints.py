@@ -1,5 +1,6 @@
 """Midpoint predicates, search, lens/strip geometry, compatibility."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from causalgeo.core import make_rng
 from causalgeo.errors import (CurveTooShort, DegenerateStrip,
                               MidpointBoundsViolated, NotARealizer,
                               NotChronological, UnsupportedBackend)
+from causalgeo.midpoints import _search_with_taus, _strip_margin
+from causalgeo.spaces import PlaneFrame
 
 P, Q = (0.0, 0.0), (2.0, 0.0)
 
@@ -107,20 +110,90 @@ def _punctured_miss():
 
 @pytest.mark.parametrize("case", [_cubic_miss, _punctured_miss], ids=["cubic", "punctured"])
 class TestFlatSearchMisses:
-    """Two pairs whose lens and strip share a point the flat search never
-    samples: the offset ladder and rasters miss the feasible window."""
+    """Two pairs whose lens and strip share a point away from the affine
+    midpoint: t^3 moves the best level off it, and the puncture removes it
+    from a lens about 1000 times wider in space than tau."""
 
     def test_witness_lies_in_lens_and_strip(self, case):
         space, bundle, p, q, eps_hat, c, y = case()
         lens = LensStrip(space, bundle, p, q, float(space.tau(p, q)) * eps_hat, c)
         assert space.contains(y) and lens.in_lens(y) and lens.in_strip(y)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the flat approximate search is incomplete")
     def test_search_finds_a_point(self, case):
         space, bundle, p, q, eps_hat, c, _ = case()
         query = MidpointQuery(p=p, q=q, c=c, epsilon_hat=eps_hat)
-        assert find_midpoint(space, bundle, query) is not None
+        y = find_midpoint(space, bundle, query)
+        lens = LensStrip(space, bundle, p, q, float(space.tau(p, q)) * eps_hat, c)
+        assert y is not None and lens.in_lens(y) and lens.in_strip(y)
+
+    def test_search_makes_at_most_four_tau_calls(self, case, monkeypatch):
+        # The slice point and one step off a removed point, two halves each.
+        space, bundle, p, q, eps_hat, c, _ = case()
+        tau_pq = space.tau(p, q)
+        calls = []
+        plain = MinkowskiSpace.tau
+
+        def counted(self, x, y):
+            calls.append(None)
+            return plain(self, x, y)
+
+        monkeypatch.setattr(MinkowskiSpace, "tau", counted)
+        assert _search_with_taus(space, bundle, p, q, tau_pq * eps_hat, c, 1e-9,
+                                 tau_pq) is not None
+        assert len(calls) <= 4
+
+
+@st.composite
+def flat_search_cases(draw, kind):
+    """A chronological pair and eps for the flat search: t^3 on R^{1,1} or
+    R^{1,2}, or coordinate time on R^{1,1} with the affine midpoint removed."""
+    dim = 2 if kind == "cubic-1+2" else 1
+    p = (draw(st.floats(-1.5, 1.5)), *(draw(st.floats(-1.0, 1.0)) for _ in range(dim)))
+    dt = draw(st.floats(0.2, 2.0))
+    speed, angle = draw(st.floats(0.0, 0.9)), draw(st.floats(0.0, 2 * math.pi))
+    direction = (1.0,) if dim == 1 else (math.cos(angle), math.sin(angle))
+    q = (p[0] + dt, *(a + speed * dt * u for a, u in zip(p[1:], direction)))
+    if kind == "punctured-1+1":
+        space = PuncturedMinkowski(1, removed=[PlaneFrame(p, q).midpoint()])
+        bundle = canonical_time_bundle(space)
+    else:
+        space = MinkowskiSpace(dim)
+        bundle = cubic_time_bundle(space)
+    return space, bundle, p, q, draw(st.floats(0.02, 0.45)) * space.tau(p, q)
+
+
+def _best_scanned_margin(space, bundle, p, q, eps, levels=24):
+    """The largest strip margin among lens points of a coarse scan: each of
+    ``levels`` lab-time levels, on a grid over the box that bounds the causal
+    diamond in space (off the p-q plane too in 1+2), or None."""
+    lens = LensStrip(space, bundle, p, q, eps, 0.5)
+    dt, dim = q[0] - p[0], len(p) - 1
+    grid = [-dt / 2 + dt * k / (levels - 1) for k in range(levels)]
+    best = None
+    for i in range(1, levels):
+        t = p[0] + dt * i / levels
+        for offsets in itertools.product(grid, repeat=dim):
+            y = (t, *((a + b) / 2 + o for a, b, o in zip(p[1:], q[1:], offsets)))
+            if space.contains(y) and lens.in_lens(y):
+                margin = _strip_margin(bundle, p, q, y)
+                best = margin if best is None else max(best, margin)
+    return best
+
+
+class TestFlatSearchAgainstScan:
+    """The flat search selects the most central lens point: wherever a scan
+    finds a lens point, the search finds one at least as central."""
+
+    @pytest.mark.parametrize("kind", ["cubic-1+1", "cubic-1+2", "punctured-1+1"])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_search_is_at_least_as_central_as_the_scan(self, kind, data):
+        space, bundle, p, q, eps = data.draw(flat_search_cases(kind))
+        best = _best_scanned_margin(space, bundle, p, q, eps)
+        assume(best is not None)
+        found = _search_with_taus(space, bundle, p, q, eps, None, 1e-9, space.tau(p, q))
+        assert found is not None
+        assert _strip_margin(bundle, p, q, found[0]) >= best - 1e-6
 
 
 class TestLensStrip:
@@ -148,11 +221,11 @@ class TestLensStrip:
         lens = LensStrip(mink, mink_bundle, p, q, eps, 0.4)
         radius = 2.0 - eps
         polys = dict(lens.boundary_polylines(101))
-        assert len(polys["lens_upper"]) == 101
-        for y in polys["lens_upper"]:
+        assert len(polys["lens_p"]) == 101
+        for y in polys["lens_p"]:
             assert mink.tau(p, y) == pytest.approx(radius, abs=1e-9)
             assert mink.tau(y, q) >= radius - 1e-9
-        for y in polys["lens_lower"]:
+        for y in polys["lens_q"]:
             assert mink.tau(y, q) == pytest.approx(radius, abs=1e-9)
 
     def test_boosted_arcs_run_between_the_lens_corners(self, mink, mink_bundle):
@@ -161,15 +234,15 @@ class TestLensStrip:
         lens = LensStrip(mink, mink_bundle, p, q, eps, 0.3)
         radius = mink.tau(p, q) / 2 - eps
         polys = dict(lens.boundary_polylines(101))
-        upper, lower = polys["lens_upper"], polys["lens_lower"]
-        for y in upper:
+        arc_p, arc_q = polys["lens_p"], polys["lens_q"]
+        for y in arc_p:
             assert mink.tau(p, y) == pytest.approx(radius, abs=1e-9)
             assert mink.tau(y, q) >= radius - 1e-9
-        for y in lower:
+        for y in arc_q:
             assert mink.tau(y, q) == pytest.approx(radius, abs=1e-9)
             assert mink.tau(p, y) >= radius - 1e-9
-        assert upper[0] == pytest.approx(lower[-1], abs=1e-9)
-        assert upper[-1] == pytest.approx(lower[0], abs=1e-9)
+        assert arc_p[0] == pytest.approx(arc_q[-1], abs=1e-9)
+        assert arc_p[-1] == pytest.approx(arc_q[0], abs=1e-9)
 
     def test_boundary_needs_flat_1plus1(self, diamond, diamond_bundle):
         lens = LensStrip(diamond, diamond_bundle, "p", "q", 0.5, 0.25)
