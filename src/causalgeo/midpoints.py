@@ -14,7 +14,7 @@ enumeration; on flat backends the affine midpoint (p+q)/2, which is the
 unique exact tau-midpoint there, built in the p-q plane frame and rejected
 when it falls on a removed point; in the approximate case, one closed-form
 candidate on the lens's level of T nearest (T(p)+T(q))/2, in the p-q
-plane.  There is one search,
+plane, with the affine midpoint as the fallback.  There is one search,
 :func:`_search_with_taus`, behind :func:`find_midpoint`, the dyadic build
 and the compatibility certificate, which drops the strip filter and reads
 the best constant off the selected point.  Given tau(p,q), the search
@@ -184,8 +184,9 @@ def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
     Selection rule: minimize |T(y) - (T(p)+T(q))/2|, ties broken by smallest
     vertex id on discrete backends.  On flat ones with eps > 0 both time
     functions depend on t alone and increase with it, so the rule picks a
-    level: t* = T^-1(T_center), clamped (tol inside) to the lens's lab times
-    t_p + reach .. t_q - reach, with reach the vertex r = tau/2 - eps or the
+    level: t* = T^-1(T_center), clamped to the lens's lab times
+    t_p + reach .. t_q - reach, moved inward by tol or, in a narrower window,
+    a quarter of its width, with reach the vertex r = tau/2 - eps or the
     corner dt/2 - sinh|phi| sqrt(eps (tau - eps)) of the p-arc, as in
     :func:`lens_in_strip_epsilon`.  The lens is {tau(p,.) > r} & {tau(.,q) > r}
     (the upper bounds follow from the reverse triangle inequality); both are
@@ -193,10 +194,12 @@ def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
     level meets the lens iff it meets it in that plane, in the interval
     (max(-r_p, D - r_q), min(r_p, D + r_q)), r_p = sqrt((t - t_p)^2 - r^2),
     D = |x_q - x_p|.  The candidate is the level's point of segment p-q held
-    to the middle half of the interval; a removed one halves its distance to
-    the lower end.  At eps >= tau/2, r = 0 and the interval is the causal
-    diamond's, inside the lens.  The affine midpoint comes first when
-    T((p+q)/2) == T_center, as for coordinate time.
+    to the middle half of the interval; one within a rounding guard
+    max(tol, 1e-12) of a removed point halves its distance to the lower end.
+    At eps >= tau/2, r = 0 and the interval is the causal diamond's, inside
+    the lens.  The affine midpoint comes first when T((p+q)/2) == T_center,
+    as for coordinate time, and last otherwise, for a lens so thin that
+    rounding leaves the slice point outside it.
     """
     t_center = (bundle.time(p) + bundle.time(q)) / 2
     half = tau_pq / 2
@@ -226,32 +229,41 @@ def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
 
     frame = PlaneFrame(p, q)
     exact = frame.midpoint()
-    if eps == 0:
-        # The exact solution is unique on flat backends; reject it when it
-        # collapses onto a removed point (up to a rounding guard).
-        guard = max(tol, 1e-12)
-        if any(max(abs(e - r) for e, r in zip(exact, rp)) <= guard
-               for rp in space.removed):
-            return None
-        return feasible(exact)
+    guard = max(tol, 1e-12)
 
-    if bundle.time(exact) == t_center:
-        found = feasible(exact)
-        if found is not None:
-            return found
+    def near_removed(y):
+        """Whether y lies within a rounding guard of a removed point."""
+        return any(max(abs(a - b) for a, b in zip(y, rp)) <= guard for rp in space.removed)
+
+    def admissible(y):
+        return None if near_removed(y) else feasible(y)
+
+    if eps == 0:
+        # The exact solution is unique on flat backends.
+        return admissible(exact)
+    exact_first = bundle.time(exact) == t_center
+    found = admissible(exact) if exact_first else None
+    if found is not None:
+        return found
 
     tp, tq, span = p[0], q[0], frame.span
     r = max(half - eps, 0.0)
     h, s = math.sqrt(half * half - r * r), span / tau_pq
     reach = r if s * r <= h else (tq - tp) / 2 - s * h
-    t = min(max(time_at_level(bundle, t_center, tp, tq), tp + reach + tol), tq - reach - tol)
+    inset = min(tol, (tq - tp - 2 * reach) / 4)
+    t = min(max(time_at_level(bundle, t_center, tp, tq), tp + reach + inset), tq - reach - inset)
     r_p = math.sqrt(max((t - tp) ** 2 - r * r, 0.0))
     r_q = math.sqrt(max((tq - t) ** 2 - r * r, 0.0))
     lo, hi = max(-r_p, span - r_q), min(r_p, span + r_q)
     x = min(max(span * (t - tp) / (tq - tp), lo + (hi - lo) / 4), hi - (hi - lo) / 4)
-    if not space.contains(frame.embed(t, x)):
-        x = (lo + x) / 2
-    return feasible(frame.embed(t, x))
+    y = frame.embed(t, x)
+    if near_removed(y):
+        y = frame.embed(t, (lo + x) / 2)
+    found = admissible(y)
+    if found is None and not exact_first:
+        # A lens narrower than rounding can leave the slice point outside it.
+        found = admissible(exact)
+    return found
 
 
 def find_midpoint(space: Space, bundle: TimeFunctionBundle, query: MidpointQuery,

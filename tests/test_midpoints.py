@@ -101,8 +101,8 @@ def _cubic_miss():
 
 
 def _punctured_miss():
-    # The affine midpoint is removed, and at a spatial-to-tau ratio near 1000
-    # every step of the offset ladder already leaves the lens.
+    # The affine midpoint is removed, so the slice point must step off it,
+    # inside a lens about 1000 times wider in space than tau.
     space = PuncturedMinkowski(1, removed=[(1.0, 0.9999995)])
     return (space, canonical_time_bundle(space), P, (2.0, 1.999999), 0.1, 0.5,
             (1.0, 0.9999995 + 1e-8))
@@ -194,6 +194,27 @@ class TestFlatSearchAgainstScan:
         found = _search_with_taus(space, bundle, p, q, eps, None, 1e-9, space.tau(p, q))
         assert found is not None
         assert _strip_margin(bundle, p, q, found[0]) >= best - 1e-6
+        for removed in space.removed:
+            assert max(abs(a - b) for a, b in zip(found[0], removed)) > 1e-9
+
+    @pytest.mark.parametrize("p, q, eps_hat, c", [
+        ((1.0, 0.0), (2.0, 0.0), 4e-10, 0.3),
+        ((1.0, 0.0), (2.0, 0.0), 1e-10, 0.3),
+        ((1.0, 0.0), (2.0, 0.0), 1e-13, 0.3),
+        ((0.75, 0.2), (2.65, 1.7), 1e-15, None),
+    ])
+    def test_lens_narrower_than_tol_still_yields_a_point(self, p, q, eps_hat, c):
+        # Near its rest frame the lens spans lab times t_mid -/+ eps, here
+        # narrower than the absolute tolerance; the dyadic build reaches such
+        # eps as epsilon / 4**level.  In the last, boosted case rounding leaves
+        # the slice point outside the lens, and the affine midpoint answers.
+        space = MinkowskiSpace(1)
+        bundle = cubic_time_bundle(space)
+        tau_pq = space.tau(p, q)
+        eps = tau_pq * eps_hat
+        found = _search_with_taus(space, bundle, p, q, eps, c, 1e-9, tau_pq)
+        assert found is not None
+        assert is_eps_tau_midpoint(space, p, q, found[0], eps)
 
 
 class TestLensStrip:
