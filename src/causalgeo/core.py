@@ -139,7 +139,7 @@ class TimeFunctionBundle:
     """A generalized time function on a space plus anti-Lipschitz witnesses."""
 
     def __init__(self, space: Space, time: Callable, witnesses: Iterable[AntiLipschitzWitness],
-                 name: str = "T", canonical_minkowski: bool = False):
+                 name: str = "T", canonical_minkowski: bool = False, slope_minima=()):
         self.space = space
         self.time = time
         self.witnesses = tuple(witnesses)
@@ -147,6 +147,10 @@ class TimeFunctionBundle:
         # True only for the coordinate time function on a flat backend; the
         # analytic null-distance fast path is gated on this flag.
         self.canonical_minkowski = canonical_minkowski
+        # For T = f(t) on a flat backend: the local minima of f' as (t, f'(t))
+        # pairs, the only levels besides the null corners where a null
+        # distance can be attained.  Empty when f' is constant.
+        self.slope_minima = tuple(slope_minima)
 
     def common_witness(self, x, y):
         for w in self.witnesses:

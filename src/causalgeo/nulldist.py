@@ -1,22 +1,24 @@
-"""Null distance: exact on causal pairs, graph search on causal sets, zigzag
-optimization on flat backends.
+"""Null distance: exact on causal pairs, graph search on causal sets, a closed
+form on flat backends.
 
 The null length of a piecewise causal curve is the sum of absolute
-time-function increments over its segment joints; the null distance is the
-infimum of null lengths over piecewise causal curves joining two points.
-Three computation routes are provided:
+time-function increments over its segment joints; the null distance d_T is
+the infimum of null lengths over piecewise causal curves joining two points
+(Sormani-Vega, CQG 33 (2016) 085001).  Three computation routes are
+provided:
 
 * ``causal_exact`` -- for related pairs the distance is exactly the time
   increment, witnessed by the direct segment.
 * ``graph`` -- on causal sets, Dijkstra over the symmetrized edge set with
   weights |dT|; lossless because increments telescope along monotone runs.
-* ``zigzag`` -- on flat backends, one route that checks in turn the direct
-  segment of a related pair, the closed-form two-segment null corner (with
-  coordinate time, once its cost meets the lower bound max(|dt|, ||dx||),
-  where the search can only lose to it), and a one-parameter nested search
-  over four-segment shapes.
+* ``zigzag`` -- on flat backends, for T = f(t) with f increasing: the closed
+  form of :func:`_zigzag`, the least cost of going null to one level,
+  crossing there and going null on.  The candidate levels are the two null
+  corners and the local minima of f' (``TimeFunctionBundle.slope_minima``).
 
-The closed form max(|dt|, ||dx||) for the coordinate time function
+Every route builds its witness curve only on request
+(:attr:`NullDistanceResult.witness_curve`).  The closed form
+max(|dt|, ||dx||) for the coordinate time function
 (:func:`minkowski_analytic_candidate`) is not a route: it is checked against
 the default routes by :func:`validate_analytic_fast_path`.
 """
@@ -26,7 +28,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from .core import (FUTURE, PAST, Certificate, DEFAULT_SEED, PiecewiseCausalCurve,
                    Space, TimeFunctionBundle, certify, make_rng, predicate,
@@ -45,15 +49,21 @@ class NullLengthValue:
 
 @dataclass(frozen=True)
 class NullDistanceResult:
-    """A null-distance value with the best witness curve found.
+    """A null-distance value with a witness curve built on request.
 
     The value is an infimum estimate; the witness attains it within
     tolerance but attainment of the infimum itself is never claimed.
+    :attr:`witness_curve` calls ``build_witness`` on first access only, so
+    callers that read only ``value`` never pay for a witness.
     """
 
     value: float
-    witness_curve: PiecewiseCausalCurve
+    build_witness: Callable = field(repr=False, compare=False)
     method: str
+
+    @cached_property
+    def witness_curve(self) -> PiecewiseCausalCurve:
+        return self.build_witness()
 
     def witness_length(self, bundle) -> NullLengthValue:
         return null_length(bundle, self.witness_curve)
@@ -70,22 +80,17 @@ def null_length(bundle: TimeFunctionBundle, curve: PiecewiseCausalCurve) -> Null
 # -- zigzag search on flat backends ---------------------------------------------
 
 
-def _null_corners(a_plane, b_plane):
-    """Apexes of the two-segment null zigzags joining two plane points.
+def _null_corners(frame):
+    """Apexes of the two-segment null zigzags joining p and q.
 
-    Returns (up_corner, down_corner) in plane coordinates, nudged slightly
-    inside the cones so the reconstructed points pass the exact causal
-    predicates despite rounding.
+    Returns (up_corner, down_corner) in the plane coordinates of ``frame``,
+    nudged slightly inside the cones so the reconstructed points pass the
+    exact causal predicates despite rounding.
     """
-    (ta, sa), (tb, sb) = a_plane, b_plane
-    gap = abs(sb - sa)
-    sgn = 1.0 if sb >= sa else -1.0
-    up_t = (ta + tb + gap) / 2.0
-    up_s = sa + sgn * (up_t - ta)
-    down_t = (ta + tb - gap) / 2.0
-    down_s = sa + sgn * (ta - down_t)
-    nudge = _corner_nudge(ta, tb, gap)
-    return (up_t + nudge, up_s), (down_t - nudge, down_s)
+    (tp, _), (tq, span) = frame.p_plane, frame.q_plane
+    up_t, down_t = (tp + tq + span) / 2.0, (tp + tq - span) / 2.0
+    nudge = _corner_nudge(tp, tq, span)
+    return (up_t + nudge, up_t - tp), (down_t - nudge, tp - down_t)
 
 
 def _corner_nudge(ta, tb, gap):
@@ -93,107 +98,128 @@ def _corner_nudge(ta, tb, gap):
     return 1e-12 * (1.0 + abs(ta) + abs(tb) + gap)
 
 
-def _two_segment_candidates(space, bundle, frame, a, b, a_plane, b_plane):
-    """Direct segment (when related) plus the two null-corner zigzags."""
+def _two_segment_candidates(space, bundle, frame, p, q):
+    """The two null-corner zigzags, where their apexes survive."""
     out = []
-    if space.causal_le(a, b):
-        out.append((abs(bundle.time(b) - bundle.time(a)), (a, b), (FUTURE,)))
-    if space.causal_le(b, a):
-        out.append((abs(bundle.time(b) - bundle.time(a)), (a, b), (PAST,)))
-    up, down = _null_corners(a_plane, b_plane)
+    up, down = _null_corners(frame)
     for (t, s), orientations in ((up, (FUTURE, PAST)), (down, (PAST, FUTURE))):
         m = frame.embed(t, s)
         if not space.contains(m):
             continue
         first, second = orientations
-        ok_a = space.causal_le(a, m) if first == FUTURE else space.causal_le(m, a)
-        ok_b = space.causal_le(b, m) if second == PAST else space.causal_le(m, b)
-        if not (ok_a and ok_b):
+        ok_p = space.causal_le(p, m) if first == FUTURE else space.causal_le(m, p)
+        ok_q = space.causal_le(q, m) if second == PAST else space.causal_le(m, q)
+        if not (ok_p and ok_q):
             continue
-        cost = abs(bundle.time(m) - bundle.time(a)) + abs(bundle.time(b) - bundle.time(m))
-        out.append((cost, (a, m, b), orientations))
+        cost = abs(bundle.time(m) - bundle.time(p)) + abs(bundle.time(q) - bundle.time(m))
+        out.append((cost, (p, m, q), orientations))
     return out
 
 
-def _best_two_segment(space, bundle, frame, a, b, a_plane, b_plane):
-    return min(_two_segment_candidates(space, bundle, frame, a, b, a_plane, b_plane),
-               key=lambda c: c[0], default=None)
-
-
-def _zigzag_result(space, best) -> NullDistanceResult:
-    cost, joints, orientations = best
-    return NullDistanceResult(cost, PiecewiseCausalCurve(space, joints, orientations),
-                              "zigzag")
-
-
 def _zigzag(space, bundle, p, q) -> NullDistanceResult:
-    """Nested optimization over two- and four-segment null zigzags.
+    """Null distance of T = f(t), f increasing, on a flat backend.
 
-    A related pair keeps its direct segment: it attains |dT|, which bounds
-    every piecewise causal curve from below, so a split could only undercut
-    it by rounding.  With coordinate time, max(|dt|, ||dx||) is such a bound
-    too; a spacelike pair's corner costs that bound plus two nudges of
-    :func:`_null_corners`, and a four-segment candidate splits the pair into
-    two spacelike halves that pay two nudges each, so the route stops at a
-    corner that meets the bound.  Other time functions, and pairs with no
-    surviving corner or whose corner misses the bound, go on to the search.
+    Let a piecewise causal curve from p to q cross level t n(t) times.  Its
+    null length is the integral of f'(t) n(t) dt, and since every causal
+    segment has ||dx|| <= |dt|, ||Dx|| <= integral of n(t) dt.  The curve
+    covers levels [lo, hi] around t_p and t_q, crossing each level between
+    them at least once and every other level at least twice.  Let s minimize
+    f' on [lo, hi].  The curve's crossings beyond those of the path that
+    goes null from p to level s and null on to q are all charged at least
+    f'(s), and they carry all but |s - t_p| + |s - t_q| of ||Dx||.  So the
+    null length is at least
+
+        g(s) = |f(s) - f(t_p)| + |f(t_q) - f(s)| + f'(s) R(s),
+        R(s) = max(0, ||Dx|| - |s - t_p| - |s - t_q|),
+
+    the cost of going null to level s, crossing the remaining R(s) there
+    and going null on to q, which null teeth straddling s attain in the limit
+    (:func:`_crossing_witness`).  Hence d_T = min over s of g(s).  Where
+    R > 0, g'(s) = f''(s) R(s), so the minimum sits at a null-corner level
+    (t_p + t_q -+ ||Dx||)/2, where R = 0, or at a level strictly between
+    them where f' has a local minimum: ``bundle.slope_minima``.
+
+    A related pair keeps its direct segment (:func:`_direct`).  A corner
+    level is valued by the nudged corner of :func:`_null_corners`, from its
+    own coordinates, so coordinate time, which has no other candidate,
+    keeps its values bit for bit.  If both corners are removed points, the
+    value is g at the better corner level, as removing finitely many points
+    does not change the infimum.
     """
+    forward = space.causal_le(p, q)
+    if forward or space.causal_le(q, p):
+        return _direct(space, bundle, p, q, forward, "zigzag")
     frame = PlaneFrame(p, q)
-    pp, qp = frame.p_plane, frame.q_plane
+    (tp, _), (tq, span) = frame.p_plane, frame.q_plane
+    cands = _two_segment_candidates(space, bundle, frame, p, q)
+    found = [(cost, partial(PiecewiseCausalCurve, space, joints, orientations))
+             for cost, joints, orientations in cands]
+    down, up = (tp + tq - span) / 2.0, (tp + tq + span) / 2.0
+    levels = [(s, 0.0) for s in (up, down) if not cands]
+    levels += [(s, slope) for s, slope in bundle.slope_minima if down < s < up]
+    for s, slope in levels:
+        f_s = bundle.time(frame.embed(s, 0.0))
+        reach = max(0.0, span - abs(s - tp) - abs(s - tq))
+        value = abs(f_s - bundle.time(p)) + abs(bundle.time(q) - f_s) + slope * reach
+        found.append((value, partial(_crossing_witness, space, bundle, frame, p, q, s, value)))
+    value, build = min(found, key=lambda c: c[0])
+    return NullDistanceResult(value, build, "zigzag")
 
-    cands = _two_segment_candidates(space, bundle, frame, p, q, pp, qp)
-    if cands and len(cands[0][1]) == 2:
-        return _zigzag_result(space, cands[0])
-    best = min(cands, key=lambda c: c[0], default=None)
-    # Two nudges carried by the corner, one more for rounding.
-    if (best is not None and bundle.canonical_minkowski and
-            abs(best[0] - minkowski_analytic_candidate(bundle, p, q))
-            <= 3.0 * _corner_nudge(pp[0], qp[0], frame.span)):
-        return _zigzag_result(space, best)
 
-    def four_segment(lam):
-        r_plane = (pp[0] + lam * (qp[0] - pp[0]), pp[1] + lam * (qp[1] - pp[1]))
-        r = frame.embed(*r_plane)
-        if not space.contains(r):
-            return None
-        left = _best_two_segment(space, bundle, frame, p, r, pp, r_plane)
-        right = _best_two_segment(space, bundle, frame, r, q, r_plane, qp)
-        if left is None or right is None:
-            return None
-        cost = left[0] + right[0]
-        joints = left[1] + right[1][1:]
-        orientations = left[2] + right[2]
-        return (cost, joints, orientations)
+def _crossing_witness(space, bundle, frame, p, q, level, value):
+    """A piecewise causal curve from p to q crossing at ``level``, with null
+    length within tolerance above ``value``, g(level) of :func:`_zigzag`.
 
-    # Coarse scan, then golden-section refinement around the best split point.
-    lams = [i / 14.0 for i in range(1, 14)]
-    scanned = [(lam, four_segment(lam)) for lam in lams]
-    scanned = [(lam, c) for lam, c in scanned if c is not None]
-    if scanned:
-        lam_star, cand = min(scanned, key=lambda lc: lc[1][0])
-        lo, hi = max(lam_star - 1 / 14.0, 1e-6), min(lam_star + 1 / 14.0, 1 - 1e-6)
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        x1 = hi - invphi * (hi - lo)
-        x2 = lo + invphi * (hi - lo)
-        f1, f2 = four_segment(x1), four_segment(x2)
-        for _ in range(48):
-            c1 = f1[0] if f1 else math.inf
-            c2 = f2[0] if f2 else math.inf
-            if c1 < c2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - invphi * (hi - lo)
-                f1 = four_segment(x1)
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + invphi * (hi - lo)
-                f2 = four_segment(x2)
-        for cand2 in (f1, f2, cand):
-            if cand2 is not None and (best is None or cand2[0] < best[0]):
-                best = cand2
+    N null teeth of height h = R/(4N) straddle the level.  Each costs
+    2 (f(level + h) - f(level - h)) for 4h of ||Dx||, so the excess over g
+    falls like R h^2.  N is taken from the excess gap_1 of one tooth,
+    N = ceil(sqrt(gap_1 / tol)), and the curve is built once more and
+    checked.  With R = 0 the curve is the null corner at the level.
+    """
+    tol, teeth = resolve_tol(space, None), 1
+    for _ in range(2):
+        curve = _teeth(space, frame, p, q, level, teeth)
+        gap = null_length(bundle, curve).value - value
+        if gap <= tol:
+            return curve
+        teeth = math.ceil(math.sqrt(gap / tol))
+    raise BudgetExceeded(f"teeth crossing level {level} miss the null distance", gap)
 
-    if best is None:
-        raise NotConnected(f"no zigzag candidate joins {p} and {q}")
-    return _zigzag_result(space, best)
+
+def _teeth(space, frame, p, q, level, teeth):
+    """Null from p to ``level``, ``teeth`` teeth across the remaining R, null
+    on to q.  Each turning point is nudged inside the cones as in
+    :func:`_null_corners`, and further while it is a removed point."""
+    (tp, _), (tq, span) = frame.p_plane, frame.q_plane
+    a, b = abs(level - tp), span - abs(tq - level)
+    profile = [frame.p_plane, (level, a)]
+    if b > a:
+        h = (b - a) / (4 * teeth)
+        for k in range(teeth):
+            profile += [(level + h, a + (4 * k + 1) * h), (level - h, a + (4 * k + 3) * h)]
+        profile.append((level, b))
+    profile.append(frame.q_plane)
+    nudge = _corner_nudge(tp, tq, span)
+    points = [p]
+    for (t0, _), (t, s), (t1, _) in zip(profile, profile[1:], profile[2:]):
+        # Joints are the turning points; the rest lie on straight null runs
+        # or repeat an endpoint at the level.
+        if (t - t0) * (t1 - t) < 0:
+            step = nudge if t > t0 else -nudge
+            t += step
+            while not space.contains(frame.embed(t, s)):
+                t += step
+            points.append(frame.embed(t, s))
+    points.append(q)
+    return PiecewiseCausalCurve(space, tuple(points), tuple(
+        FUTURE if y[0] > x[0] else PAST for x, y in zip(points, points[1:])))
+
+
+def _direct(space, bundle, p, q, forward, method) -> NullDistanceResult:
+    """The direct segment of a related pair: it attains |dT|, which bounds
+    every piecewise causal curve from below."""
+    curve = partial(PiecewiseCausalCurve, space, (p, q), (FUTURE if forward else PAST,))
+    return NullDistanceResult(abs(bundle.time(q) - bundle.time(p)), curve, method)
 
 
 def _graph(space: CausalSetSpace, bundle, p, q) -> NullDistanceResult:
@@ -203,8 +229,8 @@ def _graph(space: CausalSetSpace, bundle, p, q) -> NullDistanceResult:
     dist, path = found
     # Each step is an edge one way or the other; a DAG's causal order tells which.
     orientations = [FUTURE if space.causal_le(a, b) else PAST for a, b in zip(path, path[1:])]
-    curve = PiecewiseCausalCurve(space, tuple(path), tuple(orientations))
-    return NullDistanceResult(dist, curve, "graph")
+    return NullDistanceResult(
+        dist, partial(PiecewiseCausalCurve, space, tuple(path), tuple(orientations)), "graph")
 
 
 def minkowski_analytic_candidate(bundle: TimeFunctionBundle, p, q) -> float:
@@ -223,7 +249,7 @@ def minkowski_analytic_candidate(bundle: TimeFunctionBundle, p, q) -> float:
 
 def null_distance(space: Space, bundle: TimeFunctionBundle, p, q,
                   method: str = "auto") -> NullDistanceResult:
-    """Null distance between p and q with an explicit witness curve.
+    """Null distance between p and q with a witness curve built on request.
 
     ``auto`` uses the exact causal-pair identity when p and q are related,
     the graph route on discrete backends and the zigzag route on flat ones.
@@ -234,14 +260,12 @@ def null_distance(space: Space, bundle: TimeFunctionBundle, p, q,
         if p == q:
             # The bundle's own zero: exact on discrete backends, where a float
             # 0.0 would round the exact sums it enters.
-            curve = PiecewiseCausalCurve(space, (p,), ())
-            return NullDistanceResult(bundle.time(p) - bundle.time(p), curve,
+            return NullDistanceResult(bundle.time(p) - bundle.time(p),
+                                      partial(PiecewiseCausalCurve, space, (p,), ()),
                                       "causal_exact")
         forward = space.causal_le(p, q)
         if forward or space.causal_le(q, p):
-            curve = PiecewiseCausalCurve(space, (p, q), (FUTURE if forward else PAST,))
-            return NullDistanceResult(abs(bundle.time(q) - bundle.time(p)), curve,
-                                      "causal_exact")
+            return _direct(space, bundle, p, q, forward, "causal_exact")
         method = "graph" if space.is_discrete else "zigzag"
 
     if method == "graph":
@@ -252,7 +276,7 @@ def null_distance(space: Space, bundle: TimeFunctionBundle, p, q,
         if space.is_discrete:
             raise UnsupportedBackend("zigzag method needs a flat backend")
         if p == q:
-            return NullDistanceResult(0.0, PiecewiseCausalCurve(space, (p,), ()),
+            return NullDistanceResult(0.0, partial(PiecewiseCausalCurve, space, (p,), ()),
                                       "zigzag")
         return _zigzag(space, bundle, p, q)
     raise ValueError(f"unknown method {method!r}")

@@ -512,14 +512,15 @@ def cubic_time_bundle(space: MinkowskiSpace, half_width: float = 0.5) -> TimeFun
     """Coordinate time cubed: flattens near t = 0 and loses anti-Lipschitz there.
 
     The witness neighbourhood is the strip |t| <= half_width around the
-    flattening.
+    flattening, where the slope 3t^2 has its one minimum, 0 at t = 0.
     """
     witness = AntiLipschitzWitness(
         label=f"strip(|t|<={half_width})",
         contains=lambda p: abs(p[0]) <= half_width,
         metric=_causal_dominating_metric,
     )
-    return TimeFunctionBundle(space, lambda p: p[0] ** 3, [witness], name="t^3")
+    return TimeFunctionBundle(space, lambda p: p[0] ** 3, [witness], name="t^3",
+                              slope_minima=((0.0, 0.0),))
 
 
 def time_at_level(bundle: TimeFunctionBundle, level, t_lo, t_hi):
