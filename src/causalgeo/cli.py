@@ -86,7 +86,7 @@ _SCHEMA = {
         "epsilon": (float, 0.0), "epsilon_hat": (float, 0.0), "depth": (int, 10),
         "mode": (str, "exact"),
     },
-    "nulldist": {"pairs_file": (str, ""), "method": (str, "auto")},
+    "nulldist": {"pairs_file": (str, "")},
     "lens": {"p": (_parse_point, (0.0, 0.0)), "q": (_parse_point, (4.0, 0.0)),
              "epsilon": (_parse_eps, "auto"), "c": (float, 0.4), "resolution": (int, 200)},
     "certify": {"sample_budget": (int, 200), "tolerance": (float, 1e-9), "c": (float, 0.5),
@@ -154,8 +154,6 @@ class RunConfig:
             (geo["mode"] == "exact" or (geo["epsilon"] > 0) != (geo["epsilon_hat"] > 0),
              "mode = approximate needs exactly one of geodesic.epsilon and "
              "geodesic.epsilon_hat"),
-            (self["nulldist"]["method"] in ("auto", "graph", "zigzag"),
-             "nulldist.method must be auto|graph|zigzag"),
             (0 < lens["c"] <= 0.5, "lens.c must lie in (0, 1/2]"),
             (lens["resolution"] >= 8, "lens.resolution must be >= 8"),
             (lens["epsilon"] == "auto" or lens["epsilon"] >= 0,
@@ -298,9 +296,13 @@ def cmd_geodesic(config: RunConfig, space) -> int:
     if p != q and not space.causal_le(p, q):
         raise ConfigError(f"geodesic.p = {p!r} does not causally precede "
                           f"geodesic.q = {q!r}")
-    epsilon = geo["epsilon"]
+    epsilon, tau = geo["epsilon"], space.tau(p, q)
     if geo["epsilon_hat"] > 0:
-        epsilon = geo["epsilon_hat"] * float(space.tau(p, q))
+        epsilon = geo["epsilon_hat"] * float(tau)
+    if space.chronological(p, q) and epsilon >= tau:
+        key = "epsilon_hat" if geo["epsilon_hat"] > 0 else "epsilon"
+        raise ConfigError(f"geodesic.{key} = {geo[key]:g} gives epsilon = {epsilon:g}, "
+                          f"which must lie below tau(p, q) = {float(tau):g}")
     curve, certs = synthesize_geodesic(
         space, bundle, p, q, geo["c"], geo["depth"], geo["mode"], epsilon,
         sample_budget=config["certify"]["sample_budget"], seed=config["run"]["seed"])
@@ -325,11 +327,12 @@ def cmd_nulldist(config: RunConfig, space) -> int:
 
     def row(a, b):
         try:
-            result = null_distance(space, bundle, a, b, method=section["method"])
+            result = null_distance(space, bundle, a, b)
             return [_point_label(a), _point_label(b), repr(float(result.value)),
                     result.method]
         except NotConnected:
-            return [_point_label(a), _point_label(b), "inf", section["method"]]
+            # Only the graph route can find no walk.
+            return [_point_label(a), _point_label(b), "inf", "graph"]
 
     atomic_write(os.path.join(config["run"]["out"], "distances.csv"), csv_text(
         ["src", "dst", "d_T", "method"], (row(a, b) for a, b in pairs)))
@@ -411,8 +414,6 @@ _FLAGS = {
     "epsilon_hat": ("geodesic", "epsilon_hat", {"type": float,
                                                 "help": "relative midpoint tolerance"}),
     "mode": ("geodesic", "mode", {"choices": ["exact", "approximate"], "help": "synthesis mode"}),
-    "method": ("nulldist", "method", {"choices": ["auto", "graph", "zigzag"],
-                                      "help": "null-distance method"}),
     "pairs": ("nulldist", "pairs_file", {"help": "CSV pair list for the nulldist command"}),
 }
 _COMMON_FLAGS = ("seed", "out", "backend", "density")
@@ -420,7 +421,7 @@ _COMMON_FLAGS = ("seed", "out", "backend", "density")
 _COMMANDS = {
     "geodesic": (cmd_geodesic, ("depth", "c", "epsilon", "epsilon_hat", "mode"),
                  ("curve.json", "certificates.json", "summary.txt")),
-    "nulldist": (cmd_nulldist, ("method", "pairs"), ("distances.csv",)),
+    "nulldist": (cmd_nulldist, ("pairs",), ("distances.csv",)),
     "lens": (cmd_lens, (), ("lens.svg", "boundary.csv")),
     "certify": (cmd_certify, (), ("certificates.json", "summary.txt")),
     "causet": (cmd_causet, (), ("causet.json", "vertices.csv", "edges.csv")),

@@ -9,10 +9,6 @@ class WitnessMissing(CausalGeoError):
     """A sampled point has no anti-Lipschitz neighbourhood descriptor."""
 
 
-class EmptySprinkle(CausalGeoError):
-    """A Poisson sprinkle produced no points at all."""
-
-
 class SegmentNotCausal(CausalGeoError):
     """A curve segment fails the causal predicate for its orientation."""
 

@@ -4,23 +4,22 @@ form on flat backends.
 The null length of a piecewise causal curve is the sum of absolute
 time-function increments over its segment joints; the null distance d_T is
 the infimum of null lengths over piecewise causal curves joining two points
-(Sormani-Vega, CQG 33 (2016) 085001).  Three computation routes are
-provided:
+(Sormani-Vega, CQG 33 (2016) 085001).  The input picks the route:
 
-* ``causal_exact`` -- for related pairs the distance is exactly the time
+* ``causal_exact`` -- a related pair, p == q included: exactly the time
   increment, witnessed by the direct segment.
-* ``graph`` -- on causal sets, Dijkstra over the symmetrized edge set with
-  weights |dT|; lossless because increments telescope along monotone runs.
-* ``zigzag`` -- on flat backends, for T = f(t) with f increasing: the closed
-  form of :func:`_zigzag`, the least cost of going null to one level,
-  crossing there and going null on.  The candidate levels are the two null
-  corners and the local minima of f' (``TimeFunctionBundle.slope_minima``).
+* ``graph`` -- any other pair on a causal set: Dijkstra over the symmetrized
+  edge set with weights |dT|; lossless because increments telescope.
+* ``zigzag`` -- any other pair on a flat backend, for T = f(t) with f
+  increasing: the closed form of :func:`_zigzag`, the least cost of going
+  null to one level, crossing there and going null on.  The candidate levels
+  are the two null corners and the local minima of f' (``slope_minima``).
 
 Every route builds its witness curve only on request
 (:attr:`NullDistanceResult.witness_curve`).  The closed form
 max(|dt|, ||dx||) for the coordinate time function
 (:func:`minkowski_analytic_candidate`) is not a route: it is checked against
-the default routes by :func:`validate_analytic_fast_path`.
+:func:`null_distance` by :func:`validate_analytic_fast_path`.
 """
 
 from __future__ import annotations
@@ -139,16 +138,12 @@ def _zigzag(space, bundle, p, q) -> NullDistanceResult:
     (t_p + t_q -+ ||Dx||)/2, where R = 0, or at a level strictly between
     them where f' has a local minimum: ``bundle.slope_minima``.
 
-    A related pair keeps its direct segment (:func:`_direct`).  A corner
-    level is valued by the nudged corner of :func:`_null_corners`, from its
-    own coordinates, so coordinate time, which has no other candidate,
-    keeps its values bit for bit.  If both corners are removed points, the
-    value is g at the better corner level, as removing finitely many points
-    does not change the infimum.
+    A corner level is valued by the nudged corner of :func:`_null_corners`,
+    from its own coordinates, so coordinate time, which has no other
+    candidate, keeps its values bit for bit.  If both corners are removed
+    points, the value is g at the better corner level, as removing finitely
+    many points does not change the infimum.
     """
-    forward = space.causal_le(p, q)
-    if forward or space.causal_le(q, p):
-        return _direct(space, bundle, p, q, forward, "zigzag")
     frame = PlaneFrame(p, q)
     (tp, _), (tq, span) = frame.p_plane, frame.q_plane
     cands = _two_segment_candidates(space, bundle, frame, p, q)
@@ -215,11 +210,13 @@ def _teeth(space, frame, p, q, level, teeth):
         FUTURE if y[0] > x[0] else PAST for x, y in zip(points, points[1:])))
 
 
-def _direct(space, bundle, p, q, forward, method) -> NullDistanceResult:
+def _direct(space, bundle, p, q, forward) -> NullDistanceResult:
     """The direct segment of a related pair: it attains |dT|, which bounds
-    every piecewise causal curve from below."""
+    every piecewise causal curve from below.  With p == q the value is the
+    bundle's own zero: exact on discrete backends, where a float 0.0 would
+    round the exact sums it enters."""
     curve = partial(PiecewiseCausalCurve, space, (p, q), (FUTURE if forward else PAST,))
-    return NullDistanceResult(abs(bundle.time(q) - bundle.time(p)), curve, method)
+    return NullDistanceResult(abs(bundle.time(q) - bundle.time(p)), curve, "causal_exact")
 
 
 def _graph(space: CausalSetSpace, bundle, p, q) -> NullDistanceResult:
@@ -247,39 +244,16 @@ def minkowski_analytic_candidate(bundle: TimeFunctionBundle, p, q) -> float:
     return max(abs(q[0] - p[0]), math.dist(p[1:], q[1:]))
 
 
-def null_distance(space: Space, bundle: TimeFunctionBundle, p, q,
-                  method: str = "auto") -> NullDistanceResult:
+def null_distance(space: Space, bundle: TimeFunctionBundle, p, q) -> NullDistanceResult:
     """Null distance between p and q with a witness curve built on request.
 
-    ``auto`` uses the exact causal-pair identity when p and q are related,
-    the graph route on discrete backends and the zigzag route on flat ones.
-    Forcing ``graph``/``zigzag`` recomputes related pairs the long way
-    (useful for cross-checking the identity).
+    A related pair takes the exact identity (:func:`_direct`); any other pair
+    takes the graph route on discrete backends and the zigzag on flat ones.
     """
-    if method == "auto":
-        if p == q:
-            # The bundle's own zero: exact on discrete backends, where a float
-            # 0.0 would round the exact sums it enters.
-            return NullDistanceResult(bundle.time(p) - bundle.time(p),
-                                      partial(PiecewiseCausalCurve, space, (p,), ()),
-                                      "causal_exact")
-        forward = space.causal_le(p, q)
-        if forward or space.causal_le(q, p):
-            return _direct(space, bundle, p, q, forward, "causal_exact")
-        method = "graph" if space.is_discrete else "zigzag"
-
-    if method == "graph":
-        if not space.is_discrete:
-            raise UnsupportedBackend("graph method needs a causal-set backend")
-        return _graph(space, bundle, p, q)
-    if method == "zigzag":
-        if space.is_discrete:
-            raise UnsupportedBackend("zigzag method needs a flat backend")
-        if p == q:
-            return NullDistanceResult(0.0, partial(PiecewiseCausalCurve, space, (p,), ()),
-                                      "zigzag")
-        return _zigzag(space, bundle, p, q)
-    raise ValueError(f"unknown method {method!r}")
+    forward = space.causal_le(p, q)
+    if forward or space.causal_le(q, p):
+        return _direct(space, bundle, p, q, forward)
+    return (_graph if space.is_discrete else _zigzag)(space, bundle, p, q)
 
 
 # -- independent oracles ----------------------------------------------------------

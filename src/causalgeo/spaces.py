@@ -26,7 +26,7 @@ from itertools import accumulate
 
 from .core import (AntiLipschitzWitness, Space, TimeFunctionBundle, atomic_write,
                    csv_rows, csv_text, json_text)
-from .errors import BudgetExceeded, EmptySprinkle, NotComplete
+from .errors import BudgetExceeded, NotComplete
 
 
 class MinkowskiSpace(Space):
@@ -553,15 +553,15 @@ def causet_time_bundle(space: CausalSetSpace) -> TimeFunctionBundle:
 MAX_SPRINKLE_POINTS = 10_000
 
 
-def sprinkle_causet(diamond_corners, density: float, seed: int,
-                    include_corners: bool = True) -> CausalSetSpace:
+def sprinkle_causet(diamond_corners, density: float, seed: int) -> CausalSetSpace:
     """Poisson sprinkle of the causal diamond between two corners of R^{1,1}.
 
     Point count is Poisson(density * area); points are uniform in the
-    diamond (sampled exactly in null coordinates).  Edges are the links of
-    the Minkowski causal order (its Hasse diagram: related pairs with no
-    sprinkled point between them), weighted by the Minkowski time separation
-    of their endpoints; vertex time is the t coordinate.  Raises
+    diamond (sampled exactly in null coordinates), and the two corners are
+    always vertices.  Edges are the links of the Minkowski causal order (its
+    Hasse diagram: related pairs with no sprinkled point between them),
+    weighted by the Minkowski time separation of their endpoints; vertex time
+    is the t coordinate.  Raises
     BudgetExceeded before drawing when density * area exceeds
     ``MAX_SPRINKLE_POINTS``.
     """
@@ -591,12 +591,7 @@ def sprinkle_causet(diamond_corners, density: float, seed: int,
     n = int(rng.poisson(density * area))
     us = rng.uniform(u_lo, u_hi, size=n)
     vs = rng.uniform(v_lo, v_hi, size=n)
-    pts = [((u + v) / 2.0, (v - u) / 2.0) for u, v in zip(us, vs)]
-    if include_corners:
-        pts.extend([p, q])
-    pts = sorted(set(pts))
-    if not pts:
-        raise EmptySprinkle("sprinkle drew no points")
+    pts = sorted({((u + v) / 2.0, (v - u) / 2.0) for u, v in zip(us, vs)} | {p, q})
 
     width = max(3, len(str(len(pts) - 1)))
     ids = [f"v{i:0{width}d}" for i in range(len(pts))]

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from causalgeo import (CausalSetSpace, causet_time_bundle, check_anti_lipschitz,
-                       check_reverse_triangle, is_eps_tau_midpoint, null_distance,
+                       check_reverse_triangle, is_eps_tau_midpoint,
                        null_distance_oracle, sprinkle_causet)
 from causalgeo.errors import NotConnected
 from causalgeo.midpoints import _search_with_taus
+from causalgeo.nulldist import _graph
 
 STEPS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7), Fraction(1))
 WEIGHTS = (Fraction(0), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7),
@@ -133,7 +134,7 @@ class TestIntegerDijkstra:
         for x in space.vertices:
             for y in space.vertices:
                 try:
-                    result = null_distance(space, bundle, x, y, method="graph")
+                    result = _graph(space, bundle, x, y)
                 except NotConnected:
                     graph = None
                 else:

@@ -193,6 +193,35 @@ class TestGeodesicCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("backend, tolerance, named", [
+        ("minkowski", ["--epsilon-hat", "1.5"], "geodesic.epsilon_hat"),
+        ("minkowski", ["--epsilon", "5"], "geodesic.epsilon"),
+        ("sprinkle", ["--epsilon-hat", "2"], "geodesic.epsilon_hat"),
+    ], ids=["epsilon-hat", "epsilon", "sprinkle-epsilon-hat"])
+    def test_tolerance_not_below_tau_is_a_config_error(self, tmp_path, capsys, backend,
+                                                       tolerance, named):
+        cfg = tmp_path / "run.cfg"
+        if backend == "sprinkle":
+            # The sprinkle's first and last vertices are its two corners.
+            vertices = causalgeo.sprinkle_causet(((0.0, 0.0), (1.0, 0.0)), 100.0, 42).vertices
+            cfg.write_text(f"[backend]\nkind = sprinkle\n\n[geodesic]\n"
+                           f"p = {vertices[0]}\nq = {vertices[-1]}\n")
+        else:
+            cfg.write_text("")
+        out = tmp_path / "o"
+        assert run("geodesic", "--config", str(cfg), "--out", str(out), "--depth", "3",
+                   "--mode", "approximate", *tolerance) == 2
+        err = capsys.readouterr().err
+        assert f"{named} =" in err and "tau(p, q)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_null_pair_ignores_the_tolerance(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[geodesic]\np = 0,0\nq = 1,1\n")
+        assert run("geodesic", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--depth", "3", "--mode", "approximate", "--epsilon", "5") == 0
+
     PUNCTURED = "[backend]\nkind = punctured\nremoved = 1,0\n"
 
     def _geodesic(self, tmp_path, out, succeed):
@@ -278,7 +307,7 @@ class TestNulldistCommand:
         assert run("nulldist", "--config", str(cfg), "--pairs", str(pairs),
                    "--out", str(out)) == 0
         body = (out / "distances.csv").read_text().splitlines()
-        assert body[1].split(",")[2] == "inf"
+        assert body[1].split(",")[2:] == ["inf", "graph"]
 
     def test_minkowski_coordinate_pairs(self, tmp_path):
         pairs = tmp_path / "pairs.csv"
@@ -292,13 +321,16 @@ class TestNulldistCommand:
         assert abs(float(rows[2][2]) - 1.0) < 1e-9
         assert rows[2][3] == "zigzag"
 
-    def test_analytic_method_is_rejected(self, tmp_path):
+    def test_analytic_method_is_rejected(self, tmp_path, capsys):
+        # The input picks the route, so no method is a key or a flag.
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[nulldist]\nmethod = analytic\n")
         assert run("nulldist", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "unknown config key nulldist.method" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:
-            run("nulldist", "--method", "analytic", "--out", str(tmp_path / "o"))
+            run("nulldist", "--method", "auto", "--out", str(tmp_path / "o"))
         assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_pairs_file_required(self, tmp_path):
         assert run("nulldist", "--out", str(tmp_path / "o")) == 2
@@ -677,6 +709,28 @@ class TestPerCommandFlags:
         parser = _build_parser()
         for argv in lines:
             parser.parse_args(argv)
+
+    def test_readme_names_only_current_keys_and_every_flag(self):
+        """Every ``key =`` line of README's ini block, commented or not, is a
+        schema key of its section, and README spells out every flag."""
+        from causalgeo.cli import _FLAGS, _SCHEMA
+        root = os.path.dirname(os.path.dirname(__file__))
+        with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+            text = fh.read()
+        block = re.search(r"^```ini\n(.*?)^```", text, re.M | re.S).group(1)
+        section, keys = None, []
+        for line in block.splitlines():
+            header = re.match(r"\[(\w+)\]", line)
+            if header:
+                section = header.group(1)
+                assert section in _SCHEMA, section
+            key = re.match(r";?\s*(\w+)\s*=", line)
+            if key:
+                keys.append(key.group(1))
+                assert key.group(1) in _SCHEMA[section], (section, key.group(1))
+        assert len(keys) >= 20
+        for flag in _FLAGS:
+            assert re.search(rf"--{flag.replace('_', '-')}(?![\w-])", text), flag
 
     def test_benchmark_configs_validate(self, tmp_path):
         """Every config the benchmark writes loads and validates, so a schema

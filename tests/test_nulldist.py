@@ -15,7 +15,7 @@ from causalgeo import (CausalSetSpace, MinkowskiSpace, PiecewiseCausalCurve,
 from causalgeo.cli import main
 from causalgeo.core import DEFAULT_TOL
 from causalgeo.errors import NotConnected, UnsupportedBackend
-from causalgeo.nulldist import (_null_corners, _two_segment_candidates,
+from causalgeo.nulldist import (_graph, _null_corners, _two_segment_candidates,
                                 minkowski_analytic_candidate)
 from causalgeo.spaces import PlaneFrame
 
@@ -52,11 +52,6 @@ class TestNullDistance:
         witness = result.witness_length(mink_bundle)
         assert witness.value == pytest.approx(result.value, abs=1e-12)
 
-    def test_forced_zigzag_matches_identity_on_causal_pairs(self, mink, mink_bundle):
-        result = null_distance(mink, mink_bundle, (0.0, 0.0), (1.5, 0.5),
-                               method="zigzag")
-        assert result.value == pytest.approx(1.5, abs=1e-9)
-
     def test_diamond_spacelike_pair_both_detours(self, diamond, diamond_bundle):
         result = null_distance(diamond, diamond_bundle, "a", "b")
         assert result.value == 2
@@ -65,7 +60,7 @@ class TestNullDistance:
         assert result.witness_length(diamond_bundle).value == result.value
 
     def test_forced_graph_matches_identity(self, diamond, diamond_bundle):
-        result = null_distance(diamond, diamond_bundle, "p", "q", method="graph")
+        result = _graph(diamond, diamond_bundle, "p", "q")
         assert result.value == 2
 
     def test_not_connected(self):
@@ -93,10 +88,6 @@ class TestAnalyticFastPath:
         assert cert.passed
         value = minkowski_analytic_candidate(mink_bundle, (0.2, -0.4), (0.3, 0.9))
         assert value == pytest.approx(1.3, abs=1e-12)
-
-    def test_is_not_a_route(self, mink, mink_bundle):
-        with pytest.raises(ValueError, match="unknown method"):
-            null_distance(mink, mink_bundle, (0.2, -0.4), (0.3, 0.9), method="analytic")
 
     def test_requires_canonical_bundle(self, cubic_mink, cubic_bundle):
         with pytest.raises(UnsupportedBackend):
@@ -131,45 +122,43 @@ class TestZigzagCornerBound:
         space, p, q = case
         assume(p != q and space.contains(p) and space.contains(q))
         bundle = canonical_time_bundle(space)
-        result = null_distance(space, bundle, p, q, method="zigzag")
+        result = null_distance(space, bundle, p, q)
         if space.causal_le(p, q) or space.causal_le(q, p):
+            assert result.method == "causal_exact"
             assert result.witness_curve.points == (p, q)
         else:
             cost, joints, orientations = corner(space, bundle, p, q)
+            assert result.method == "zigzag"
             assert result.value == cost
             assert result.witness_curve.points == joints
             assert result.witness_curve.orientations == orientations
-        assert result.method == "zigzag"
         assert abs(result.value - minkowski_analytic_candidate(bundle, p, q)) <= 1e-9
 
-    def test_forced_zigzag_never_undercuts_related_pairs(self, mink, mink_bundle):
-        # |dT| bounds every piecewise causal curve from below, and the direct
-        # segment of a related pair attains it.
-        rng = random.Random(5)
-        pairs = [tuple((rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2))
-                 for _ in range(300)]
-        related = [(p, q) for p, q in pairs if mink.causal_le(p, q) or mink.causal_le(q, p)]
-        assert len(related) == 153
-        for p, q in related:
-            result = null_distance(mink, mink_bundle, p, q, method="zigzag")
-            assert result.value == abs(q[0] - p[0])
-            assert result.witness_curve.points == (p, q)
-
     def test_spacelike_pairs_skip_the_search(self, mink3, monkeypatch):
-        # One list of two-segment candidates per pair, and no other search.
-        calls = []
+        # One list of two-segment candidates per pair, no other search, and
+        # only the routing's two relation tests on the pair itself.
+        calls, relation_tests = [], []
+        causal_le = mink3.causal_le
 
         def counted(*args):
             calls.append(None)
             return _two_segment_candidates(*args)
 
+        def counted_le(x, y):
+            relation_tests.append({x, y})
+            return causal_le(x, y)
+
         monkeypatch.setattr("causalgeo.nulldist._two_segment_candidates", counted)
+        monkeypatch.setattr(mink3, "causal_le", counted_le)
         bundle = canonical_time_bundle(mink3)
+        p = (0.1, 0.0, 0.0)
         for q in ((0.0, 0.6, 0.8), (0.3, -1.2, 0.5), (-1.5, 1.9, -0.2)):
             calls.clear()
-            result = null_distance(mink3, bundle, (0.1, 0.0, 0.0), q)
+            relation_tests.clear()
+            result = null_distance(mink3, bundle, p, q)
             assert len(result.witness_curve.points) == 3
             assert len(calls) == 1
+            assert relation_tests.count({p, q}) == 2
 
     def test_search_runs_when_no_corner_survives(self):
         # The value is g at the corner level; the witness's apex is pushed
@@ -335,7 +324,7 @@ class TestOracle:
             for x in space.points():
                 for y in space.points():
                     exhaustive = null_distance_oracle(space, bundle, x, y)
-                    dijkstra = null_distance(space, bundle, x, y, method="graph").value
+                    dijkstra = _graph(space, bundle, x, y).value
                     assert exhaustive == dijkstra
 
     def test_grid_tracks_zigzag_within_resolution(self, mink, mink_bundle):
@@ -356,7 +345,7 @@ class TestOracle:
             q = (float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-0.8, 0.8)))
             if p == q:
                 continue
-            zig = null_distance(mink, mink_bundle, p, q, method="zigzag").value
+            zig = null_distance(mink, mink_bundle, p, q).value
             grid = null_distance_oracle(mink, mink_bundle, p, q, resolution=res,
                                         budget=1_000_000)
             assert zig <= grid + 1e-9

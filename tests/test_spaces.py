@@ -14,7 +14,7 @@ from causalgeo import (CausalSetSpace, MinkowskiSpace,
                        load_causet_csv, load_causet_json, save_causet_csv,
                        save_causet_json, sprinkle_causet)
 from causalgeo.core import atomic_write
-from causalgeo.errors import BudgetExceeded, EmptySprinkle, NotComplete
+from causalgeo.errors import BudgetExceeded, NotComplete
 from causalgeo.spaces import MAX_SPRINKLE_POINTS
 
 
@@ -187,11 +187,6 @@ class TestSprinkle:
             assert space.edges == reference_links(ids, pts)
             assert all(mink.tau(space.coordinates[s], space.coordinates[d]) == w
                        for s, d, w in space.edges)
-
-    def test_empty_sprinkle_without_corners(self):
-        with pytest.raises(EmptySprinkle):
-            sprinkle_causet(((0.0, 0.0), (1.0, 0.0)), density=1e-6, seed=1,
-                            include_corners=False)
 
     def test_density_past_the_budget_is_refused_before_drawing(self, monkeypatch):
         import numpy as np
