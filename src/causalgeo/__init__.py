@@ -3,7 +3,7 @@ on desk-scale causal-space backends, with machine-checkable certificates."""
 
 __version__ = "0.1.0"
 
-from .core import (AntiLipschitzWitness, Certificate, PiecewiseCausalCurve,
+from .core import (AntiLipschitzWitness, Certificate, FlatTimeBundle, PiecewiseCausalCurve,
                    Space, TimeFunctionBundle, check_anti_lipschitz,
                    check_chronology, check_reverse_triangle, replay)
 from .errors import CausalGeoError

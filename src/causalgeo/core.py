@@ -4,9 +4,10 @@ Everything in the toolkit programs against the :class:`Space` interface: a
 point universe with a causal relation ``<=``, a chronological relation
 ``<<``, and a time separation ``tau`` returning a nonnegative extended real
 (``math.inf`` is the dedicated infinity value).  A :class:`TimeFunctionBundle`
-attaches a generalized time function together with its anti-Lipschitz
-witness neighbourhoods, and :class:`PiecewiseCausalCurve` models zigzags of
-future- and past-directed causal segments by their joints alone.
+attaches a generalized time function, T = f(t) with f and f^-1 as data for a
+:class:`FlatTimeBundle`, to its anti-Lipschitz witness neighbourhoods, and
+:class:`PiecewiseCausalCurve` models zigzags of future- and past-directed
+causal segments by their joints alone.
 
 Sampled checks are seeded-deterministic and report a :class:`Certificate`.
 Each certificate name has one predicate, registered with :func:`predicate`:
@@ -75,17 +76,9 @@ class Space(ABC):
     def tau(self, x, y):
         """Time separation: nonnegative, 0 when not chronologically related."""
 
-    def causal_lt(self, x, y) -> bool:
-        """Strict causal relation, derived as causal and not equal."""
-        return x != y and self.causal_le(x, y)
-
     def contains(self, x) -> bool:
         """Universe membership (backends with removed points override)."""
         return True
-
-    def background_distance(self, x, y) -> float:
-        """Optional background metric used only for topology checks."""
-        raise NotImplementedError(f"{self.name} has no background metric")
 
     def limit_point(self, points: Sequence):
         """Map a (certified) Cauchy sequence of points to its limit.
@@ -136,27 +129,46 @@ class AntiLipschitzWitness:
 
 
 class TimeFunctionBundle:
-    """A generalized time function on a space plus anti-Lipschitz witnesses."""
+    """A generalized time function ``time`` on a space plus anti-Lipschitz
+    witnesses; on flat backends, a :class:`FlatTimeBundle`."""
+
+    # Only coordinate time takes the analytic null-distance fast path.
+    canonical_minkowski = False
 
     def __init__(self, space: Space, time: Callable, witnesses: Iterable[AntiLipschitzWitness],
-                 name: str = "T", canonical_minkowski: bool = False, slope_minima=()):
+                 name: str = "T"):
         self.space = space
         self.time = time
         self.witnesses = tuple(witnesses)
         self.name = name
-        # True only for the coordinate time function on a flat backend; the
-        # analytic null-distance fast path is gated on this flag.
-        self.canonical_minkowski = canonical_minkowski
-        # For T = f(t) on a flat backend: the local minima of f' as (t, f'(t))
-        # pairs, the only levels besides the null corners where a null
-        # distance can be attained.  Empty when f' is constant.
-        self.slope_minima = tuple(slope_minima)
 
     def common_witness(self, x, y):
         for w in self.witnesses:
             if w.contains(x) and w.contains(y):
                 return w
         return None
+
+
+def coordinate_time(t):
+    """The identity: f for coordinate time, and its own inverse."""
+    return t
+
+
+class FlatTimeBundle(TimeFunctionBundle):
+    """T = f(t) on a flat backend, for f increasing: T(p) = f(p[0]).
+
+    ``f_inverse`` inverts f on lab time.  ``slope_minima`` lists the local
+    minima of f' as (t, f'(t)) pairs, the only levels besides the null
+    corners where a null distance can be attained (none when f' is constant).
+    """
+
+    def __init__(self, space: Space, f: Callable, f_inverse: Callable,
+                 witnesses: Iterable[AntiLipschitzWitness], name: str, slope_minima=()):
+        super().__init__(space, lambda p: f(p[0]), witnesses, name)
+        self.f = f
+        self.f_inverse = f_inverse
+        self.slope_minima = tuple(slope_minima)
+        self.canonical_minkowski = f is coordinate_time
 
 
 @dataclass(frozen=True)

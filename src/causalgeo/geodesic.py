@@ -40,7 +40,7 @@ from .core import (Certificate, DEFAULT_SEED, Space, TimeFunctionBundle, certify
 from .errors import (BudgetExceeded, CauchyBudget, CausalGeoError, MidpointUnavailable,
                      NotChronological)
 # find_midpoint is not called here; perfbench's tracer looks it up by this name.
-# Drop it when the tracer wraps _search_with_taus instead (ROADMAP item 3).
+# Drop it when the tracer wraps _search_with_taus instead (ROADMAP item 1).
 from .midpoints import _search_with_taus, find_midpoint  # noqa: F401
 
 EXACT = "exact"

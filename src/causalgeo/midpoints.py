@@ -32,7 +32,7 @@ from .core import (Certificate, DEFAULT_SEED, PiecewiseCausalCurve, Space,
                    TimeFunctionBundle, certify, make_rng, predicate, resolve_tol)
 from .errors import (CurveTooShort, DegenerateStrip, MidpointBoundsViolated,
                      NotARealizer, NotChronological, UnsupportedBackend)
-from .spaces import PlaneFrame, time_at_level
+from .spaces import PlaneFrame
 
 
 @dataclass(frozen=True)
@@ -118,11 +118,11 @@ class LensStrip:
     def strip_times(self):
         """Lab times a <= b of the two strip lines on R^{1,1}.
 
-        The time functions there depend on t alone and increase with it, so
-        the strip is the band a <= t <= b.
+        A flat bundle's T = f(t) increases with t, so the strip is the band
+        a <= t <= b, each end f^-1 of its strip level, held to [t_p, t_q].
         """
         self._require_plane()
-        return tuple(time_at_level(self.bundle, level, self.p[0], self.q[0])
+        return tuple(min(max(self.bundle.f_inverse(level), self.p[0]), self.q[0])
                      for level in self.strip_levels)
 
     def boundary_polylines(self, samples: int = 200):
@@ -182,9 +182,9 @@ def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
     a caller that refines the pair again needs no further tau.
 
     Selection rule: minimize |T(y) - (T(p)+T(q))/2|, ties broken by smallest
-    vertex id on discrete backends.  On flat ones with eps > 0 both time
-    functions depend on t alone and increase with it, so the rule picks a
-    level: t* = T^-1(T_center), clamped to the lens's lab times
+    vertex id on discrete backends.  On flat ones with eps > 0 the bundle's
+    T = f(t) increases with t, so the rule picks a level: t* = f^-1(T_center),
+    clamped to the lens's lab times
     t_p + reach .. t_q - reach, moved inward by tol or, in a narrower window,
     a quarter of its width, with reach the vertex r = tau/2 - eps or the
     corner dt/2 - sinh|phi| sqrt(eps (tau - eps)) of the p-arc, as in
@@ -251,7 +251,7 @@ def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
     h, s = math.sqrt(half * half - r * r), span / tau_pq
     reach = r if s * r <= h else (tq - tp) / 2 - s * h
     inset = min(tol, (tq - tp - 2 * reach) / 4)
-    t = min(max(time_at_level(bundle, t_center, tp, tq), tp + reach + inset), tq - reach - inset)
+    t = min(max(bundle.f_inverse(t_center), tp + reach + inset), tq - reach - inset)
     r_p = math.sqrt(max((t - tp) ** 2 - r * r, 0.0))
     r_q = math.sqrt(max((tq - t) ** 2 - r * r, 0.0))
     lo, hi = max(-r_p, span - r_q), min(r_p, span + r_q)

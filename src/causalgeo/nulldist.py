@@ -153,7 +153,7 @@ def _zigzag(space, bundle, p, q) -> NullDistanceResult:
     levels = [(s, 0.0) for s in (up, down) if not cands]
     levels += [(s, slope) for s, slope in bundle.slope_minima if down < s < up]
     for s, slope in levels:
-        f_s = bundle.time(frame.embed(s, 0.0))
+        f_s = bundle.f(s)
         reach = max(0.0, span - abs(s - tp) - abs(s - tq))
         value = abs(f_s - bundle.time(p)) + abs(bundle.time(q) - f_s) + slope * reach
         found.append((value, partial(_crossing_witness, space, bundle, frame, p, q, s, value)))

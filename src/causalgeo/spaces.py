@@ -24,8 +24,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
 
-from .core import (AntiLipschitzWitness, Space, TimeFunctionBundle, atomic_write,
-                   csv_rows, csv_text, json_text)
+from .core import (AntiLipschitzWitness, FlatTimeBundle, Space, TimeFunctionBundle,
+                   atomic_write, coordinate_time, csv_rows, csv_text, json_text)
 from .errors import BudgetExceeded, NotComplete
 
 
@@ -65,9 +65,6 @@ class MinkowskiSpace(Space):
         if dt < dx:
             return 0.0
         return math.sqrt(max(dt * dt - dx * dx, 0.0))
-
-    def background_distance(self, x, y):
-        return math.dist(x, y)
 
     def interpolate(self, x, y, s):
         return tuple(a + s * (b - a) for a, b in zip(x, y))
@@ -497,42 +494,31 @@ def _causal_dominating_metric(x, y):
     return max(abs(y[0] - x[0]), math.dist(x[1:], y[1:]))
 
 
-def canonical_time_bundle(space: MinkowskiSpace) -> TimeFunctionBundle:
+def canonical_time_bundle(space: MinkowskiSpace) -> FlatTimeBundle:
     """Coordinate time t with a single global anti-Lipschitz witness."""
     witness = AntiLipschitzWitness(
         label="global",
         contains=lambda p: True,
         metric=_causal_dominating_metric,
     )
-    return TimeFunctionBundle(space, lambda p: p[0], [witness], name="t",
-                              canonical_minkowski=True)
+    return FlatTimeBundle(space, coordinate_time, coordinate_time, [witness], name="t")
 
 
-def cubic_time_bundle(space: MinkowskiSpace, half_width: float = 0.5) -> TimeFunctionBundle:
-    """Coordinate time cubed: flattens near t = 0 and loses anti-Lipschitz there.
+def cubic_time_bundle(space: MinkowskiSpace, half_width: float = 0.5) -> FlatTimeBundle:
+    """Coordinate time cubed, f(t) = t^3, inverted by the real cube root.
 
-    The witness neighbourhood is the strip |t| <= half_width around the
-    flattening, where the slope 3t^2 has its one minimum, 0 at t = 0.
+    f flattens near t = 0 and loses anti-Lipschitz there, inside the witness
+    strip |t| <= half_width; the slope 3t^2 has its one minimum, 0 at t = 0.
     """
     witness = AntiLipschitzWitness(
         label=f"strip(|t|<={half_width})",
         contains=lambda p: abs(p[0]) <= half_width,
         metric=_causal_dominating_metric,
     )
-    return TimeFunctionBundle(space, lambda p: p[0] ** 3, [witness], name="t^3",
-                              slope_minima=((0.0, 0.0),))
-
-
-def time_at_level(bundle: TimeFunctionBundle, level, t_lo, t_hi):
-    """The first t in [t_lo, t_hi] with T((t, 0)) >= level, for a T of t alone
-    that increases with it (both bundles above, on R^{1,n} for any n), by bisection."""
-    for _ in range(80):
-        mid = (t_lo + t_hi) / 2.0
-        if bundle.time((mid, 0.0)) < level:
-            t_lo = mid
-        else:
-            t_hi = mid
-    return t_hi
+    # math.cbrt needs Python 3.11.
+    return FlatTimeBundle(space, lambda t: t ** 3,
+                          lambda level: math.copysign(abs(level) ** (1 / 3), level),
+                          [witness], name="t^3", slope_minima=((0.0, 0.0),))
 
 
 def causet_time_bundle(space: CausalSetSpace) -> TimeFunctionBundle:

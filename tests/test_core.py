@@ -122,10 +122,6 @@ class TestRelationInvariants:
                 if diamond.tau(x, y) > 0:
                     assert diamond.tau(y, x) == 0
 
-    def test_causal_lt_is_causal_and_unequal(self, diamond):
-        assert diamond.causal_lt("p", "q")
-        assert not diamond.causal_lt("p", "p")
-
 
 class TestPiecewiseCausalCurve:
     def test_zigzag_null_length_terms(self, mink, mink_bundle):

@@ -411,7 +411,7 @@ class TestMetricAxioms:
                 if y == center:
                     continue
                 d_t = null_distance(mink, mink_bundle, center, y).value
-                d_bg = mink.background_distance(center, y)
+                d_bg = math.dist(center, y)
                 assert d_t <= 2 * d_bg
                 assert d_bg <= 2 * d_t
 

@@ -10,10 +10,10 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalgeo import (CausalSetSpace, MinkowskiSpace,
-                       load_causet_csv, load_causet_json, save_causet_csv,
+from causalgeo import (CausalSetSpace, MinkowskiSpace, canonical_time_bundle,
+                       cubic_time_bundle, load_causet_csv, load_causet_json, save_causet_csv,
                        save_causet_json, sprinkle_causet)
-from causalgeo.core import atomic_write
+from causalgeo.core import atomic_write, make_rng
 from causalgeo.errors import BudgetExceeded, NotComplete
 from causalgeo.spaces import MAX_SPRINKLE_POINTS
 
@@ -47,6 +47,70 @@ class TestMinkowskiTau:
 
     def test_higher_dimension(self, mink3):
         assert mink3.tau((0.0, 0.0, 0.0), (2.0, 1.0, 0.0)) == pytest.approx(math.sqrt(3.0))
+
+
+def _bisected_level(bundle, level, t_lo, t_hi):
+    """The first t in [t_lo, t_hi] with T((t, 0)) >= level, by 80 bisection
+    steps: the reference that f^-1 replaced in the midpoint search."""
+    for _ in range(80):
+        mid = (t_lo + t_hi) / 2.0
+        if bundle.time((mid, 0.0)) < level:
+            t_lo = mid
+        else:
+            t_hi = mid
+    return t_hi
+
+
+class TestFlatBundleFacts:
+    """The facts a flat bundle states as data hold of its f."""
+
+    BUNDLES = [canonical_time_bundle, cubic_time_bundle]
+
+    @pytest.mark.parametrize("make", BUNDLES)
+    def test_f_increases_and_inverts(self, mink, make):
+        bundle = make(mink)
+        (t_lo, t_hi), _ = mink.window
+        ts = [t_lo + (t_hi - t_lo) * i / 400 for i in range(401)]
+        ts += sorted(make_rng(3).uniform(t_lo, t_hi, size=400).tolist())
+        values = [bundle.f(t) for t in ts[:401]]
+        assert all(a < b for a, b in zip(values, values[1:]))
+        for t in ts:
+            assert math.isclose(bundle.f_inverse(bundle.f(t)), t, rel_tol=1e-14)
+            assert bundle.time((t, 0.5)) == bundle.f(t)
+
+    @pytest.mark.parametrize("make", BUNDLES)
+    def test_slope_minima_are_local_minima_of_f_prime(self, mink, make):
+        bundle = make(mink)
+        h = 1e-6
+
+        def slope(t):
+            return (bundle.f(t + h) - bundle.f(t - h)) / (2 * h)
+
+        for s, m in bundle.slope_minima:
+            assert slope(s) == pytest.approx(m, abs=1e-9)
+            for offset in (1e-3, 1e-2, 0.1):
+                assert slope(s - offset) >= slope(s) <= slope(s + offset)
+
+    def test_coordinate_time_is_the_canonical_bundle(self, mink):
+        assert canonical_time_bundle(mink).canonical_minkowski
+        assert not cubic_time_bundle(mink).canonical_minkowski
+        assert canonical_time_bundle(mink).slope_minima == ()
+
+    @pytest.mark.parametrize("make", BUNDLES)
+    def test_inverse_matches_bisection(self, mink, make):
+        bundle = make(mink)
+        rng = make_rng(4)
+        (t_lo, t_hi), _ = mink.window
+        for _ in range(2000):
+            tp, tq = sorted(rng.uniform(t_lo, t_hi, size=2).tolist())
+            fp, fq = bundle.f(tp), bundle.f(tq)
+            for level in ((fp + fq) / 2, 0.8 * fp + 0.2 * fq, 0.2 * fp + 0.8 * fq):
+                want = _bisected_level(bundle, level, tp, tq)
+                got = bundle.f_inverse(level)
+                if bundle.canonical_minkowski:
+                    assert got == want
+                else:
+                    assert math.isclose(got, want, rel_tol=1e-14)
 
 
 class TestCausetTau:
