@@ -135,12 +135,9 @@ class TimeFunctionBundle:
     # Only coordinate time takes the analytic null-distance fast path.
     canonical_minkowski = False
 
-    def __init__(self, space: Space, time: Callable, witnesses: Iterable[AntiLipschitzWitness],
-                 name: str = "T"):
-        self.space = space
+    def __init__(self, time: Callable, witnesses: Iterable[AntiLipschitzWitness]):
         self.time = time
         self.witnesses = tuple(witnesses)
-        self.name = name
 
     def common_witness(self, x, y):
         for w in self.witnesses:
@@ -162,9 +159,9 @@ class FlatTimeBundle(TimeFunctionBundle):
     corners where a null distance can be attained (none when f' is constant).
     """
 
-    def __init__(self, space: Space, f: Callable, f_inverse: Callable,
-                 witnesses: Iterable[AntiLipschitzWitness], name: str, slope_minima=()):
-        super().__init__(space, lambda p: f(p[0]), witnesses, name)
+    def __init__(self, f: Callable, f_inverse: Callable,
+                 witnesses: Iterable[AntiLipschitzWitness], slope_minima=()):
+        super().__init__(lambda p: f(p[0]), witnesses)
         self.f = f
         self.f_inverse = f_inverse
         self.slope_minima = tuple(slope_minima)

@@ -102,7 +102,6 @@ class LensStrip:
         self.half = self.tau_pq / 2
         tp, tq = bundle.time(p), bundle.time(q)
         self.strip_levels = ((1 - c) * tp + c * tq, c * tp + (1 - c) * tq)
-        self.strip_width = (1 - 2 * c) * (tq - tp)
 
     def in_lens(self, y) -> bool:
         return _halves_within(self.half, self.space.tau(self.p, y), self.space.tau(y, self.q),
@@ -175,7 +174,8 @@ def _strip_margin(bundle, p, q, y):
 
 def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
     """Deterministic feasible-point search given ``tau_pq = tau(p, q)``;
-    ``c=None`` drops the strip filter.
+    ``c=None`` drops the strip filter, and ``tol`` relaxes c as it relaxes
+    the halves on every backend (:func:`resolve_tol` makes it 0 on discrete ones).
 
     Returns ``(y, tau(p, y), tau(y, q))`` for the selected point y, or None;
     each candidate's two half-separations are evaluated once and reused, so
@@ -203,10 +203,9 @@ def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
     """
     t_center = (bundle.time(p) + bundle.time(q)) / 2
     half = tau_pq / 2
-    slack = 0 if space.is_discrete else tol
 
     def in_strip(y):
-        return c is None or _strip_margin(bundle, p, q, y) >= c - slack
+        return c is None or _strip_margin(bundle, p, q, y) >= c - tol
 
     def feasible(y):
         """``(y, tau(p, y), tau(y, q))`` when y is in the universe, the lens
@@ -323,8 +322,7 @@ def _compatibility(space, bundle, cert, a, b, _best_c, _midpoint):
         return (a, b, None, None), False
     y = found[0]
     best_c = _strip_margin(bundle, a, b, y)
-    slack = 0 if space.is_discrete else cert.tolerance
-    return (a, b, best_c, y), best_c < cert.data["c"] - slack
+    return (a, b, best_c, y), best_c < cert.data["c"] - cert.tolerance
 
 
 def lens_in_strip_epsilon(space: Space, bundle: TimeFunctionBundle, p, q, c: float) -> float:
@@ -339,12 +337,10 @@ def lens_in_strip_epsilon(space: Space, bundle: TimeFunctionBundle, p, q, c: flo
     at c = 1/2 and when the strip misses the midpoint (p+q)/2, as the strip
     of t^3 can.
     """
-    if space.is_discrete or len(p) != 2:
-        raise UnsupportedBackend("the lens-in-strip epsilon is computed on R^{1,1}")
     lens = LensStrip(space, bundle, p, q, 0.0, c)
+    (a, b), tau = lens.strip_times(), float(lens.tau_pq)
     if c == 0.5:
         raise DegenerateStrip("c = 1/2 leaves a zero-width strip")
-    (a, b), tau = lens.strip_times(), float(lens.tau_pq)
     dt, s = q[0] - p[0], abs(q[1] - p[1]) / tau
 
     def largest(d):

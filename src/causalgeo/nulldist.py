@@ -220,7 +220,9 @@ def _direct(space, bundle, p, q, forward) -> NullDistanceResult:
 
 
 def _graph(space: CausalSetSpace, bundle, p, q) -> NullDistanceResult:
-    found = space.time_graph_distance(bundle.time, p, q, with_path=True)
+    if bundle.time != space.time_of:
+        raise UnsupportedBackend("a causal set's null distance is that of its stored times")
+    found = space.time_graph_distance(p, q, with_path=True)
     if found is None:
         raise NotConnected(f"no piecewise causal walk joins {p} and {q}")
     dist, path = found
@@ -283,8 +285,7 @@ def _exhaustive_walks(space: CausalSetSpace, bundle, p, q, budget):
         return 0
     neighbours = {}
     for v in space.vertices:
-        ns = [w for w, _ in space.out_edges(v)] + [w for w, _ in space.in_edges(v)]
-        neighbours[v] = sorted(set(ns))
+        neighbours[v] = sorted(set(space.out_edges(v) + space.in_edges(v)))
     best = None
     expansions = 0
     stack = [(p, 0, frozenset([p]))]

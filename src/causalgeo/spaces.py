@@ -4,7 +4,7 @@
   points ``(t, x1, ..., xn)``.
 * :class:`CausalSetSpace` -- a finite weighted DAG; the causal relation is
   reachability, time separation is the longest (maximum-weight) directed
-  chain, computed exactly over rationals.
+  chain; it and the null distance are exact sums of integer ticks.
 * :class:`PuncturedMinkowski` -- Minkowski space with finitely many points
   removed; a stock negative example for exact-midpoint existence.
 * :func:`sprinkle_causet` -- Poisson sprinkles of a causal diamond.
@@ -22,6 +22,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 
 from .core import (AntiLipschitzWitness, FlatTimeBundle, Space, TimeFunctionBundle,
@@ -203,10 +204,12 @@ class CausalSetSpace(Space):
     topological order.  Per vertex x, the bitmask
     ``_reach[x]`` holds every y with x <= y and ``_chron[x]`` every y with
     x << y (bit i is the i-th sorted id); related pairs and chains are
-    indexed views over them.  Vertex times and weights are exact rationals.
+    indexed views over them.  Vertex times and weights are exact rationals;
+    one scale, the lcm of their denominators, makes each a whole number of
+    ticks, so tau and the null distance of the stored times (the set's time
+    function) are integer sums, made Fractions again only when returned.
     The only post-construction state is a per-source memo of longest-path
-    tables and the integer adjacency of the last time function given to
-    :meth:`time_graph_distance`, both caches of pure query results.
+    tables and the |dT| tick adjacency, caches of pure query results.
     """
 
     is_discrete = True
@@ -244,14 +247,18 @@ class CausalSetSpace(Space):
 
         # Sorted edges fill both adjacencies already in neighbour-id order.
         self.edges = tuple(sorted(edge_list))
+        self._scale = math.lcm(*(t.denominator for t in t_map.values()),
+                               *(w.denominator for _, _, w in self.edges))
         out = {v: [] for v in self._ids}
         into = {v: [] for v in self._ids}
         for src, dst, w in self.edges:
-            out[src].append((dst, w))
-            into[dst].append((src, w))
+            ticks = w.numerator * (self._scale // w.denominator)
+            out[src].append((dst, ticks))
+            into[dst].append((src, ticks))
         self._out = {v: tuple(ws) for v, ws in out.items()}
         self._in = {v: tuple(ws) for v, ws in into.items()}
         self._topo = tuple(sorted(self._ids, key=lambda v: (t_map[v], v)))
+        self._position = {v: i for i, v in enumerate(self._topo)}
         self._reach, self._chron = {}, {}
         for v in reversed(self._topo):
             reach, chron = 1 << self._index[v], 0
@@ -260,7 +267,6 @@ class CausalSetSpace(Space):
                 chron |= self._reach[w] if weight > 0 else self._chron[w]
             self._reach[v], self._chron[v] = reach, chron
         self._longest_cache = {}
-        self._time_graph = None
         self.sufficiently_causally_connected = self._check_connectedness()
 
     # -- construction helpers -------------------------------------------------
@@ -307,29 +313,25 @@ class CausalSetSpace(Space):
         return bool(self._reach[x] & (1 << self._index[y]))
 
     def _longest_from(self, src):
+        """Longest-path ticks from src, in one pass over the topological order from src on."""
         cached = self._longest_cache.get(src)
         if cached is not None:
             return cached
-        dist = {src: Fraction(0)}
-        started = False
-        for v in self._topo:
-            if v == src:
-                started = True
-            if not started or v not in dist:
+        dist = {src: 0}
+        for v in self._topo[self._position[src]:]:
+            base = dist.get(v)
+            if base is None:
                 continue
-            base = dist[v]
             for w, weight in self._out[v]:
-                cand = base + weight
-                if w not in dist or cand > dist[w]:
-                    dist[w] = cand
+                if base + weight > dist.get(w, -1):
+                    dist[w] = base + weight
         self._longest_cache[src] = dist
         return dist
 
     def tau(self, x, y):
         if x == y:
             return Fraction(0)
-        dist = self._longest_from(x)
-        return dist.get(y, Fraction(0))
+        return Fraction(self._longest_from(x).get(y, 0), self._scale)
 
     def chronological(self, x, y):
         return x != y and bool(self._chron[x] & (1 << self._index[y]))
@@ -375,10 +377,10 @@ class CausalSetSpace(Space):
         return _sample_from(self.causal_chains(), rng, count)
 
     def out_edges(self, v):
-        return self._out[v]
+        return tuple(w for w, _ in self._out[v])
 
     def in_edges(self, v):
-        return self._in[v]
+        return tuple(w for w, _ in self._in[v])
 
     def directed_path(self, x, y):
         """Some directed edge path x -> y (smallest-id greedy), or None."""
@@ -395,17 +397,23 @@ class CausalSetSpace(Space):
             v = step
         return path
 
-    def time_graph_distance(self, time, x, y, with_path=False):
-        """Dijkstra over the symmetrized edge set with weights |time(b) - time(a)|.
+    @cached_property
+    def _time_graph(self):
+        """Each vertex's out- then in-neighbours with the |dT| ticks to them."""
+        ticks = {v: t.numerator * (self._scale // t.denominator) for v, t in self._t.items()}
+        return {v: [(w, abs(ticks[w] - ticks[v])) for w, _ in self._out[v] + self._in[v]]
+                for v in self._ids}
 
-        Times are scaled to integers by the lcm of their denominators (built
-        once per ``time`` callable), and the sum is divided back at the end.
+    def time_graph_distance(self, x, y, with_path=False):
+        """Dijkstra over the symmetrized edge set with weights |T(b) - T(a)|
+        for the stored vertex times T, summed in ticks.
+
         Returns the exact distance (and optionally one optimal vertex path),
         or None when no piecewise causal walk joins x and y.
         """
         if x not in self._t or y not in self._t:
             raise ValueError("unknown vertex")
-        scale, adjacency = self._integer_time_graph(time)
+        adjacency = self._time_graph
         dist = {x: 0}
         prev = {}
         heap = [(0, x)]
@@ -426,22 +434,12 @@ class CausalSetSpace(Space):
         if y not in settled:
             return None
         if not with_path:
-            return Fraction(dist[y], scale)
+            return Fraction(dist[y], self._scale)
         path = [y]
         while path[-1] != x:
             path.append(prev[path[-1]])
         path.reverse()
-        return Fraction(dist[y], scale), path
-
-    def _integer_time_graph(self, time):
-        if self._time_graph is None or self._time_graph[0] != time:
-            times = {v: _as_fraction(time(v)) for v in self._ids}
-            scale = math.lcm(*(t.denominator for t in times.values()))
-            ticks = {v: int(t * scale) for v, t in times.items()}
-            adjacency = {v: [(w, abs(ticks[w] - ticks[v]))
-                             for w, _ in self._out[v] + self._in[v]] for v in self._ids}
-            self._time_graph = (time, scale, adjacency)
-        return self._time_graph[1:]
+        return Fraction(dist[y], self._scale), path
 
 
 class _MaskRows(Sequence):
@@ -501,7 +499,7 @@ def canonical_time_bundle(space: MinkowskiSpace) -> FlatTimeBundle:
         contains=lambda p: True,
         metric=_causal_dominating_metric,
     )
-    return FlatTimeBundle(space, coordinate_time, coordinate_time, [witness], name="t")
+    return FlatTimeBundle(coordinate_time, coordinate_time, [witness])
 
 
 def cubic_time_bundle(space: MinkowskiSpace, half_width: float = 0.5) -> FlatTimeBundle:
@@ -516,19 +514,19 @@ def cubic_time_bundle(space: MinkowskiSpace, half_width: float = 0.5) -> FlatTim
         metric=_causal_dominating_metric,
     )
     # math.cbrt needs Python 3.11.
-    return FlatTimeBundle(space, lambda t: t ** 3,
+    return FlatTimeBundle(lambda t: t ** 3,
                           lambda level: math.copysign(abs(level) ** (1 / 3), level),
-                          [witness], name="t^3", slope_minima=((0.0, 0.0),))
+                          [witness], slope_minima=((0.0, 0.0),))
 
 
 def causet_time_bundle(space: CausalSetSpace) -> TimeFunctionBundle:
     """The stored vertex times, witnessed by the |dT| graph metric on the whole set."""
     def metric(x, y):
-        d = space.time_graph_distance(space.time_of, x, y)
+        d = space.time_graph_distance(x, y)
         return d if d is not None else math.inf
 
     witness = AntiLipschitzWitness(label="whole-set", contains=lambda v: True, metric=metric)
-    return TimeFunctionBundle(space, space.time_of, [witness], name="T")
+    return TimeFunctionBundle(space.time_of, [witness])
 
 
 # -- sprinkling ----------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The DAGs mix zero-weight edges with non-dyadic weights and times (thirds,
 sevenths), and their vertex ids are shuffled against the time order, so the
-id-ordered bitmasks, the integer-scaled Dijkstra and the pruned midpoint
-search are each compared with the plain enumeration they replace.
+id-ordered bitmasks, the integer-tick longest paths and Dijkstra and the
+pruned midpoint search are each compared with the plain enumeration or the
+Fraction arithmetic they replace.
 """
 
 import heapq
@@ -12,10 +13,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalgeo import (CausalSetSpace, causet_time_bundle, check_anti_lipschitz,
-                       check_reverse_triangle, is_eps_tau_midpoint,
-                       null_distance_oracle, sprinkle_causet)
-from causalgeo.errors import NotConnected
+from causalgeo import (CausalSetSpace, TimeFunctionBundle, causet_time_bundle,
+                       check_anti_lipschitz, check_reverse_triangle, is_eps_tau_midpoint,
+                       null_distance, null_distance_oracle, sprinkle_causet)
+from causalgeo.errors import NotConnected, UnsupportedBackend
 from causalgeo.midpoints import _search_with_taus
 from causalgeo.nulldist import _graph
 
@@ -40,7 +41,16 @@ def weighted_dags(draw, max_vertices=8):
     return CausalSetSpace(list(zip(ids, times)), edges)
 
 
-def reference_dijkstra(space, time, x, y):
+def reference_longest(space, x):
+    """Longest-path Fractions from x, relaxing the edges in time order."""
+    dist = {x: Fraction(0)}
+    for src, dst, w in sorted(space.edges, key=lambda e: space.time_of(e[0])):
+        if src in dist and (dst not in dist or dist[src] + w > dist[dst]):
+            dist[dst] = dist[src] + w
+    return dist
+
+
+def reference_dijkstra(space, x, y):
     """Dijkstra over Fractions, relaxing neighbours in out-then-in edge order."""
     dist = {x: Fraction(0)}
     prev = {}
@@ -53,9 +63,8 @@ def reference_dijkstra(space, time, x, y):
         settled.add(v)
         if v == y:
             break
-        neighbours = [w for w, _ in space.out_edges(v)] + [w for w, _ in space.in_edges(v)]
-        for w in neighbours:
-            cand = d + abs(Fraction(time(w)) - Fraction(time(v)))
+        for w in space.out_edges(v) + space.in_edges(v):
+            cand = d + abs(space.time_of(w) - space.time_of(v))
             if w not in dist or cand < dist[w]:
                 dist[w] = cand
                 prev[w] = v
@@ -109,23 +118,46 @@ class TestIndexedRelations:
                         y for y in ids if space.causal_le(p, y) and space.causal_le(y, q)]
 
 
+class TestIntegerTicks:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(weighted_dags())
+    def test_tau_matches_fraction_longest_paths(self, space):
+        for x in space.vertices:
+            want = reference_longest(space, x)
+            for y in space.vertices:
+                got = space.tau(x, y)
+                assert isinstance(got, Fraction)
+                assert got == want.get(y, 0), (x, y)
+
+
 class TestIntegerDijkstra:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(weighted_dags())
     def test_value_and_path_match_fraction_dijkstra(self, space):
-        # Alternating time functions also exercises the adjacency cache swap.
-        def thirds(v):
-            return space.time_of(v) * Fraction(7, 3)
-
-        for time in (space.time_of, thirds, space.time_of):
-            for x in space.vertices:
-                for y in space.vertices:
-                    want = reference_dijkstra(space, time, x, y)
-                    got = space.time_graph_distance(time, x, y, with_path=True)
-                    assert got == (None if want is None else (want[0], want[1]))
+        # Times scaled by 7/3 change the tick scale and scale every d_T by 7/3.
+        thirds = CausalSetSpace([(v, space.time_of(v) * Fraction(7, 3)) for v in space.vertices],
+                                space.edges)
+        for x in space.vertices:
+            for y in space.vertices:
+                for s in (space, thirds):
+                    want = reference_dijkstra(s, x, y)
+                    got = s.time_graph_distance(x, y, with_path=True)
+                    assert got == want
                     if want is not None:
                         assert isinstance(got[0], Fraction)
-                        assert space.time_graph_distance(time, x, y) == want[0]
+                        assert s.time_graph_distance(x, y) == want[0]
+                original = space.time_graph_distance(x, y)
+                if original is not None:
+                    assert thirds.time_graph_distance(x, y) == original * Fraction(7, 3)
+
+    def test_graph_route_refuses_other_time_functions(self):
+        # a and b are unrelated, so their null distance takes the graph route.
+        space = CausalSetSpace([("p", 0), ("a", 1), ("b", 2)], [("p", "a", 1), ("p", "b", 1)])
+        doubled = TimeFunctionBundle(lambda v: 2 * space.time_of(v),
+                                     causet_time_bundle(space).witnesses)
+        assert null_distance(space, causet_time_bundle(space), "a", "b").value == 3
+        with pytest.raises(UnsupportedBackend):
+            null_distance(space, doubled, "a", "b")
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(weighted_dags(max_vertices=7))

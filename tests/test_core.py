@@ -92,7 +92,7 @@ class TestAntiLipschitz:
         assert w.metric(x, y) > cubic_bundle.time(y) - cubic_bundle.time(x)
 
     def test_witness_missing(self, mink):
-        bare = TimeFunctionBundle(mink, lambda p: p[0], witnesses=())
+        bare = TimeFunctionBundle(lambda p: p[0], witnesses=())
         with pytest.raises(WitnessMissing):
             check_anti_lipschitz(mink, bare, sample_budget=4)
 

@@ -140,8 +140,8 @@ def analytic_fast_path():
     mink, canonical = _flat()
     # Coordinate time with a false slope minimum: f' = 1 everywhere, but the
     # zigzag also tries crossing at t = 0 for 0.5 per unit of distance.
-    false_minimum = FlatTimeBundle(mink, canonical.f, canonical.f_inverse, canonical.witnesses,
-                                   name="t", slope_minima=((0.0, 0.5),))
+    false_minimum = FlatTimeBundle(canonical.f, canonical.f_inverse, canonical.witnesses,
+                                   slope_minima=((0.0, 0.5),))
     cert = validate_analytic_fast_path(mink, false_minimum, sample_budget=20, seed=0)
     return cert, (mink, false_minimum), (mink, canonical)
 

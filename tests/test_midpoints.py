@@ -226,7 +226,8 @@ class TestLensStrip:
     def test_strip_levels_and_width(self, mink, mink_bundle):
         lens = LensStrip(mink, mink_bundle, (0.0, 0.0), (4.0, 0.0), 0.1, 0.4)
         assert lens.strip_levels == (pytest.approx(1.6), pytest.approx(2.4))
-        assert lens.strip_width == pytest.approx(0.2 * 4.0)
+        low, high = lens.strip_levels
+        assert high - low == pytest.approx(0.2 * 4.0)
         assert lens.in_strip((2.0, 1.7))
         assert not lens.in_strip((1.5, 0.0))
 
