@@ -9,8 +9,9 @@ lies between the two convex combinations ``(1-c)T(p)+cT(q)`` and
 ``cT(p)+(1-c)T(q)``.  On R^{1,1} both come in closed form from the pair's
 rest frame: the lens arcs, and the largest eps whose lens fits the strip.
 
-Midpoint search is deterministic: on finite backends an id-ordered
-enumeration; on flat backends the affine midpoint (p+q)/2, which is the
+Midpoint search is deterministic: on causal sets one scan of the causal
+diamond in integer ticks, ties broken by id; on flat backends the affine
+midpoint (p+q)/2, which is the
 unique exact tau-midpoint there, built in the p-q plane frame and rejected
 when it falls on a removed point; in the approximate case, one closed-form
 candidate on the lens's level of T nearest (T(p)+T(q))/2, in the p-q
@@ -182,7 +183,10 @@ def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
     a caller that refines the pair again needs no further tau.
 
     Selection rule: minimize |T(y) - (T(p)+T(q))/2|, ties broken by smallest
-    vertex id on discrete backends.  On flat ones with eps > 0 the bundle's
+    vertex id on discrete backends, where T is the stored vertex times and
+    the set's own integer scan decides
+    (:meth:`~causalgeo.spaces.CausalSetSpace.midpoint_scan`); a bundle with
+    other times raises UnsupportedBackend.  On flat ones with eps > 0 the bundle's
     T = f(t) increases with t, so the rule picks a level: t* = f^-1(T_center),
     clamped to the lens's lab times
     t_p + reach .. t_q - reach, moved inward by tol or, in a narrower window,
@@ -201,6 +205,10 @@ def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
     as for coordinate time, and last otherwise, for a lens so thin that
     rounding leaves the slice point outside it.
     """
+    if space.is_discrete:
+        if bundle.time != space.time_of:
+            raise UnsupportedBackend("a causal set's midpoints are those of its stored times")
+        return space.midpoint_scan(p, q, eps, c, tol)
     t_center = (bundle.time(p) + bundle.time(q)) / 2
     half = tau_pq / 2
 
@@ -216,15 +224,6 @@ def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
         if not (_halves_within(half, left, right, eps, tol) and in_strip(y)):
             return None
         return y, left, right
-
-    if space.is_discrete:
-        # Off the diamond J+(p) & J-(q) one half-separation is |0 - tau(p,q)/2|,
-        # so when that misses the tolerance only diamond vertices can qualify.
-        off_diamond_infeasible = half >= eps if eps > 0 else half > tol
-        pool = space.causal_diamond(p, q) if off_diamond_infeasible else space.points()
-        found = [f for f in map(feasible, pool) if f is not None]
-        return min(found, key=lambda f: (abs(bundle.time(f[0]) - t_center), f[0]),
-                   default=None)
 
     frame = PlaneFrame(p, q)
     exact = frame.midpoint()

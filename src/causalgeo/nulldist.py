@@ -8,8 +8,8 @@ the infimum of null lengths over piecewise causal curves joining two points
 
 * ``causal_exact`` -- a related pair, p == q included: exactly the time
   increment, witnessed by the direct segment.
-* ``graph`` -- any other pair on a causal set: Dijkstra over the symmetrized
-  edge set with weights |dT|; lossless because increments telescope.
+* ``graph`` -- any other pair on a causal set: A* over the symmetrized edge
+  set with weights |dT|; lossless because increments telescope.
 * ``zigzag`` -- any other pair on a flat backend, for T = f(t) with f
   increasing: the closed form of :func:`_zigzag`, the least cost of going
   null to one level, crossing there and going null on.  The candidate levels

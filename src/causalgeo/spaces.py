@@ -201,15 +201,18 @@ class CausalSetSpace(Space):
     The edges are kept exactly as given, so a direct edge heavier than a
     chain it shortcuts sets tau.  Vertex time must strictly increase along
     every edge, which rejects any cycle and makes time order (ties by id) a
-    topological order.  Per vertex x, the bitmask
-    ``_reach[x]`` holds every y with x <= y and ``_chron[x]`` every y with
-    x << y (bit i is the i-th sorted id); related pairs and chains are
-    indexed views over them.  Vertex times and weights are exact rationals;
-    one scale, the lcm of their denominators, makes each a whole number of
-    ticks, so tau and the null distance of the stored times (the set's time
-    function) are integer sums, made Fractions again only when returned.
-    The only post-construction state is a per-source memo of longest-path
-    tables and the |dT| tick adjacency, caches of pure query results.
+    topological order; the engine indexes vertices by their position in it.
+    Per vertex x, the bitmask ``_reach[x]`` holds every y with x <= y and
+    ``_chron[x]`` every y with x << y (bit i is the i-th sorted id); related
+    pairs and chains are indexed views over them.  Vertex times and weights
+    are exact rationals; one scale, the lcm of their denominators, makes each
+    a whole number of ticks, so tau, the midpoint scan and the null distance
+    of the stored times (the set's time function) are integer sums and
+    comparisons, made Fractions again only when returned.  Each query runs
+    its own longest-path passes, forward from a source over out-edges or
+    backward to a target over in-edges, along the stretch of the topological
+    order it needs; the only post-construction state is the |dT| tick
+    adjacency of the null distance, built on first use.
     """
 
     is_discrete = True
@@ -245,28 +248,30 @@ class CausalSetSpace(Space):
             seen.add((src, dst))
             edge_list.append((src, dst, w))
 
-        # Sorted edges fill both adjacencies already in neighbour-id order.
         self.edges = tuple(sorted(edge_list))
-        self._scale = math.lcm(*(t.denominator for t in t_map.values()),
-                               *(w.denominator for _, _, w in self.edges))
-        out = {v: [] for v in self._ids}
-        into = {v: [] for v in self._ids}
-        for src, dst, w in self.edges:
-            ticks = w.numerator * (self._scale // w.denominator)
-            out[src].append((dst, ticks))
-            into[dst].append((src, ticks))
-        self._out = {v: tuple(ws) for v, ws in out.items()}
-        self._in = {v: tuple(ws) for v, ws in into.items()}
+        scale = self._scale = math.lcm(*(t.denominator for t in t_map.values()),
+                                       *(w.denominator for _, _, w in self.edges))
         self._topo = tuple(sorted(self._ids, key=lambda v: (t_map[v], v)))
-        self._position = {v: i for i, v in enumerate(self._topo)}
-        self._reach, self._chron = {}, {}
-        for v in reversed(self._topo):
-            reach, chron = 1 << self._index[v], 0
+        position = self._position = {v: i for i, v in enumerate(self._topo)}
+        self._ticks = [t_map[v].numerator * (scale // t_map[v].denominator) for v in self._topo]
+        # Sorted edges fill both adjacencies already in neighbour-id order.
+        out = [[] for _ in self._topo]
+        into = [[] for _ in self._topo]
+        for src, dst, w in self.edges:
+            ticks = w.numerator * (scale // w.denominator)
+            out[position[src]].append((position[dst], ticks))
+            into[position[dst]].append((position[src], ticks))
+        self._out = tuple(map(tuple, out))
+        self._in = tuple(map(tuple, into))
+        reach, chron = [0] * len(self._topo), [0] * len(self._topo)
+        for v in reversed(range(len(self._topo))):
+            r, c = 1 << self._index[self._topo[v]], 0
             for w, weight in self._out[v]:
-                reach |= self._reach[w]
-                chron |= self._reach[w] if weight > 0 else self._chron[w]
-            self._reach[v], self._chron[v] = reach, chron
-        self._longest_cache = {}
+                r |= reach[w]
+                c |= reach[w] if weight > 0 else chron[w]
+            reach[v], chron[v] = r, c
+        self._reach = dict(zip(self._topo, reach))
+        self._chron = dict(zip(self._topo, chron))
         self.sufficiently_causally_connected = self._check_connectedness()
 
     # -- construction helpers -------------------------------------------------
@@ -274,8 +279,8 @@ class CausalSetSpace(Space):
     def _check_connectedness(self):
         if not self._ids:
             return False
-        seen = {self._ids[0]}
-        stack = [self._ids[0]]
+        seen = {0}
+        stack = [0]
         while stack:
             v = stack.pop()
             for w, _ in self._out[v] + self._in[v]:
@@ -286,7 +291,7 @@ class CausalSetSpace(Space):
             return False
         return all(
             any(w > 0 for _, w in self._out[v]) or any(w > 0 for _, w in self._in[v])
-            for v in self._ids
+            for v in range(len(self._ids))
         ) or len(self._ids) == 1
 
     # -- causal structure ------------------------------------------------------
@@ -312,29 +317,84 @@ class CausalSetSpace(Space):
             return x in self._t
         return bool(self._reach[x] & (1 << self._index[y]))
 
-    def _longest_from(self, src):
-        """Longest-path ticks from src, in one pass over the topological order from src on."""
-        cached = self._longest_cache.get(src)
-        if cached is not None:
-            return cached
-        dist = {src: 0}
-        for v in self._topo[self._position[src]:]:
-            base = dist.get(v)
-            if base is None:
-                continue
-            for w, weight in self._out[v]:
-                if base + weight > dist.get(w, -1):
-                    dist[w] = base + weight
-        self._longest_cache[src] = dist
-        return dist
+    def _longest(self, src, positions, adjacency, table=None):
+        """Longest-path ticks from position ``src`` (-1 where unreached),
+        relaxed over ``positions``, a run of the topological order walked
+        along ``adjacency``: ascending over ``_out`` for paths from src,
+        descending over ``_in`` for paths to it.  Passing the returned
+        ``table`` back with the next run of positions extends the pass."""
+        if table is None:
+            table = [-1] * len(self._topo)
+            table[src] = 0
+        for v in positions:
+            base = table[v]
+            if base >= 0:
+                for w, weight in adjacency[v]:
+                    if base + weight > table[w]:
+                        table[w] = base + weight
+        return table
 
     def tau(self, x, y):
-        if x == y:
+        if x == y or not self.causal_le(x, y):
             return Fraction(0)
-        return Fraction(self._longest_from(x).get(y, 0), self._scale)
+        src, dst = self._position[x], self._position[y]
+        return Fraction(self._longest(src, range(src, dst), self._out)[dst], self._scale)
 
     def chronological(self, x, y):
         return x != y and bool(self._chron[x] & (1 << self._index[y]))
+
+    def midpoint_scan(self, p, q, eps, c, tol):
+        """The eps-tau-midpoint of p and q in the strip for c (None: no
+        strip) whose time is nearest (T(p) + T(q)) / 2, ties by smallest id,
+        as ``(y, tau(p, y), tau(y, q))``, or None.
+
+        A pass forward from p and one backward to q give both halves of every
+        vertex, and the scan compares ticks: |2 tau(p,y) - tau(p,q)| and
+        |2 tau(y,q) - tau(p,q)| against 2 eps (strictly) or 2 tol (at eps = 0),
+        T(y) against the strip ends moved in by the least integer
+        m >= (c - tol)(T(q) - T(p)), and |2 T(y) - T(p) - T(q)|.  eps, tol and
+        c - tol are read as their exact binary values.  Off the diamond
+        J+(p) & J-(q) one half is 0, off by tau(p,q)/2; unless the tolerance
+        admits that, the passes stop at the diamond's ends and only it is
+        scanned.
+        """
+        n, scale, ticks = len(self._topo), self._scale, self._ticks
+        a, b = self._position[p], self._position[q]
+        forward = self._longest(a, range(a, b), self._out)
+        backward = self._longest(b, range(b, a, -1), self._in)
+        whole = max(forward[b], 0)
+        if eps == 0:
+            limit = math.floor(2 * scale * Fraction(tol))
+        else:
+            limit = math.ceil(2 * scale * Fraction(eps)) - 1
+        if whole > limit:
+            window = range(a, b + 1)
+        else:
+            self._longest(a, range(b, n), self._out, forward)
+            self._longest(b, range(a, -1, -1), self._in, backward)
+            window = range(n)
+        lo, hi = -math.inf, math.inf
+        if c is not None:
+            least = Fraction(c - tol)
+            gap = ticks[b] - ticks[a]
+            if gap > 0:
+                m = math.ceil(least * gap)
+                lo, hi = ticks[a] + m, ticks[b] - m
+            elif least > 0:
+                return None
+        center = ticks[a] + ticks[b]
+        best = None
+        for v in window:
+            left, right = max(forward[v], 0), max(backward[v], 0)
+            if (abs(2 * left - whole) <= limit and abs(2 * right - whole) <= limit
+                    and lo <= ticks[v] <= hi):
+                key = (abs(2 * ticks[v] - center), self._topo[v])
+                if best is None or key < best[0]:
+                    best = key, left, right
+        if best is None:
+            return None
+        (_, y), left, right = best
+        return y, Fraction(left, scale), Fraction(right, scale)
 
     def limit_point(self, points):
         if not points:
@@ -358,14 +418,8 @@ class CausalSetSpace(Space):
 
     def causal_chains(self):
         """Triples x <= y <= z, in (x, y, z) id order, addressable by index."""
-        return _MaskRows(self._ids, [((x, self._ids[i]), self._reach[self._ids[i]])
-                                     for x in self._ids for i in _bits(self._reach[x])])
-
-    def causal_diamond(self, p, q):
-        """The vertices y with p <= y <= q, in id order."""
-        q_bit = 1 << self._index[q]
-        return [self._ids[i] for i in _bits(self._reach[p])
-                if self._reach[self._ids[i]] & q_bit]
+        return _MaskRows(self._ids, [((x,), self._reach[x]) for x in self._ids],
+                         [self._reach[x] for x in self._ids])
 
     def sample_causal_pairs(self, rng, count):
         return _sample_from(self.causal_pairs(), rng, count)
@@ -377,10 +431,10 @@ class CausalSetSpace(Space):
         return _sample_from(self.causal_chains(), rng, count)
 
     def out_edges(self, v):
-        return tuple(w for w, _ in self._out[v])
+        return tuple(self._topo[w] for w, _ in self._out[self._position[v]])
 
     def in_edges(self, v):
-        return tuple(w for w, _ in self._in[v])
+        return tuple(self._topo[w] for w, _ in self._in[self._position[v]])
 
     def directed_path(self, x, y):
         """Some directed edge path x -> y (smallest-id greedy), or None."""
@@ -389,71 +443,89 @@ class CausalSetSpace(Space):
         if not self.causal_le(x, y):
             return None
         path = [x]
-        v = x
-        while v != y:
-            step = next(w for w, _ in self._out[v]
-                        if w == y or self.causal_le(w, y))
-            path.append(step)
-            v = step
+        while path[-1] != y:
+            path.append(next(w for w in self.out_edges(path[-1])
+                             if w == y or self.causal_le(w, y)))
         return path
 
     @cached_property
     def _time_graph(self):
-        """Each vertex's out- then in-neighbours with the |dT| ticks to them."""
-        ticks = {v: t.numerator * (self._scale // t.denominator) for v, t in self._t.items()}
-        return {v: [(w, abs(ticks[w] - ticks[v])) for w, _ in self._out[v] + self._in[v]]
-                for v in self._ids}
+        """Each position's out- then in-neighbours with the |dT| ticks to them."""
+        ticks = self._ticks
+        return [[(w, abs(ticks[w] - ticks[v])) for w, _ in self._out[v] + self._in[v]]
+                for v in range(len(ticks))]
 
     def time_graph_distance(self, x, y, with_path=False):
-        """Dijkstra over the symmetrized edge set with weights |T(b) - T(a)|
-        for the stored vertex times T, summed in ticks.
+        """A* over the symmetrized edge set with weights |T(b) - T(a)| for
+        the stored vertex times T, summed in ticks.
 
-        Returns the exact distance (and optionally one optimal vertex path),
-        or None when no piecewise causal walk joins x and y.
+        The potential |T(v) - T(y)| is consistent, since a step's cost |dT|
+        bounds the change of potential across it (and d_T >= |dT|,
+        Sormani-Vega), so y leaves the heap first at its exact distance.
+        Returns that distance (and optionally one optimal vertex path), or
+        None when no piecewise causal walk joins x and y.
         """
         if x not in self._t or y not in self._t:
             raise ValueError("unknown vertex")
-        adjacency = self._time_graph
-        dist = {x: 0}
-        prev = {}
-        heap = [(0, x)]
-        settled = set()
+        adjacency, ticks = self._time_graph, self._ticks
+        src, dst = self._position[x], self._position[y]
+        goal = ticks[dst]
+        dist = [math.inf] * len(ticks)
+        prev = [None] * len(ticks)
+        dist[src] = 0
+        # Entries (estimate, potential, position): on equal estimates the
+        # vertex nearer y in time goes first, so a causal pair, whose every
+        # monotone path is optimal, is walked straight through.
+        heap = [(abs(ticks[src] - goal), abs(ticks[src] - goal), src)]
+        pop, push = heapq.heappop, heapq.heappush
         while heap:
-            d, v = heapq.heappop(heap)
-            if v in settled:
-                continue
-            settled.add(v)
-            if v == y:
+            f, h, v = pop(heap)
+            if v == dst:
                 break
+            d = dist[v]
+            if f - h > d:
+                continue
             for w, step in adjacency[v]:
                 cand = d + step
-                if w not in dist or cand < dist[w]:
+                if cand < dist[w]:
                     dist[w] = cand
                     prev[w] = v
-                    heapq.heappush(heap, (cand, w))
-        if y not in settled:
+                    h = abs(ticks[w] - goal)
+                    push(heap, (cand + h, h, w))
+        else:
             return None
+        value = Fraction(dist[dst], self._scale)
         if not with_path:
-            return Fraction(dist[y], self._scale)
-        path = [y]
-        while path[-1] != x:
+            return value
+        path = [dst]
+        while path[-1] != src:
             path.append(prev[path[-1]])
-        path.reverse()
-        return Fraction(dist[y], self._scale), path
+        return value, [self._topo[v] for v in reversed(path)]
 
 
 class _MaskRows(Sequence):
     """The tuples ``prefix + (ids[i],)`` for each row ``(prefix, mask)`` and
-    each set bit i of its mask, in row order, then bit order.
+    each set bit i of its mask, in row order, then bit order.  With
+    ``inner``, one mask per bit index, bit i stands instead for the tuples
+    ``prefix + (ids[i], ids[j])``, one per set bit j of ``inner[i]``.
 
-    Indexing bisects the running bit counts of the rows, so a sample is drawn
-    without listing the tuples.
+    Indexing bisects the running item counts of the rows, then of the bits
+    of one row; a count is a popcount of a prefix of the mask, weighted by
+    the items per bit through one plane mask per binary digit of that
+    weight.  So a sample is drawn without listing the tuples or walking a
+    row's bits, and a view over all chains of n vertices needs O(n) masks.
     """
 
-    def __init__(self, ids, rows):
-        self._ids = ids
-        self._rows = rows
-        self._starts = [0, *accumulate(mask.bit_count() for _, mask in rows)]
+    def __init__(self, ids, rows, inner=None):
+        self._ids, self._rows, self._inner = ids, rows, inner
+        weights = [1] * len(ids) if inner is None else [m.bit_count() for m in inner]
+        # Plane k has bit i set when the weight of bit i has binary digit k.
+        self._planes = [int("".join("1" if w >> k & 1 else "0" for w in reversed(weights)), 2)
+                        for k in range(max(weights, default=0).bit_length())]
+        self._starts = [0, *accumulate(self._count(mask) for _, mask in rows)]
+
+    def _count(self, mask):
+        return sum((mask & plane).bit_count() << k for k, plane in enumerate(self._planes))
 
     def __len__(self):
         return self._starts[-1]
@@ -463,17 +535,25 @@ class _MaskRows(Sequence):
             raise IndexError("row index out of range")
         row = bisect_right(self._starts, index) - 1
         prefix, mask = self._rows[row]
-        for _ in range(index - self._starts[row]):
-            mask &= mask - 1
-        return prefix + (self._ids[(mask & -mask).bit_length() - 1],)
+        i, offset = _select(mask, index - self._starts[row], self._count)
+        if self._inner is None:
+            return prefix + (self._ids[i],)
+        j, _ = _select(self._inner[i], offset, int.bit_count)
+        return prefix + (self._ids[i], self._ids[j])
 
 
-def _bits(mask):
-    """The indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _select(mask, offset, count):
+    """The set bit i of ``mask`` whose items hold item ``offset`` of the
+    mask, and the offset among them: i is the largest index whose lower
+    bits count at most ``offset``, found by bisection."""
+    lo, hi = 0, mask.bit_length()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if count(mask & ((1 << mid) - 1)) <= offset:
+            lo = mid
+        else:
+            hi = mid
+    return lo, offset - count(mask & ((1 << lo) - 1))
 
 
 def _sample_from(items, rng, count):
@@ -531,10 +611,13 @@ def causet_time_bundle(space: CausalSetSpace) -> TimeFunctionBundle:
 
 # -- sprinkling ----------------------------------------------------------------
 
-# The most points a sprinkle may expect.  Time grows about as n^1.9: density
-# 10,000 on the unit diamond (n = 5,062, 35,897 links) took 21 s and 68 MB on
-# a shared 2-core machine, so n = 10,000 is near 80 s.
-MAX_SPRINKLE_POINTS = 10_000
+# The most points a sprinkle may expect.  Sprinkle plus `certify` (seed 42,
+# c = 0.1, epsilon_hat = 0.1) on the unit diamond took 11.5-17 s over three
+# runs and 136 MB at density 20,000 (n = 10,087), and 28.8 s and 319 MB in
+# one run at density 40,000 (n = 20,122), on a shared 2-core machine.  Both
+# grow at most as n^2: the two reach bitmasks take n^2/4 bytes, and the link
+# sweep compares O(n^2) pairs in arrays.
+MAX_SPRINKLE_POINTS = 20_000
 
 
 def sprinkle_causet(diamond_corners, density: float, seed: int) -> CausalSetSpace:
@@ -544,8 +627,9 @@ def sprinkle_causet(diamond_corners, density: float, seed: int) -> CausalSetSpac
     diamond (sampled exactly in null coordinates), and the two corners are
     always vertices.  Edges are the links of the Minkowski causal order (its
     Hasse diagram: related pairs with no sprinkled point between them),
-    weighted by the Minkowski time separation of their endpoints; vertex time
-    is the t coordinate.  Raises
+    found by a sweep in (t, x) order that decides each pair with the float
+    test of ``MinkowskiSpace.causal_le``, and weighted by the Minkowski time
+    separation of their endpoints; vertex time is the t coordinate.  Raises
     BudgetExceeded before drawing when density * area exceeds
     ``MAX_SPRINKLE_POINTS``.
     """
@@ -580,20 +664,34 @@ def sprinkle_causet(diamond_corners, density: float, seed: int) -> CausalSetSpac
     width = max(3, len(str(len(pts) - 1)))
     ids = [f"v{i:0{width}d}" for i in range(len(pts))]
     vertices = [(vid, Fraction(pt[0])) for vid, pt in zip(ids, pts)]
-    # Sorted by (t, x), every point of a's causal future comes after a, and
-    # every point between a and b comes before b, so each later point that no
-    # link of a kept so far precedes is itself a link.
-    edges = []
-    for i, a in enumerate(pts):
-        links = []
-        for j in range(i + 1, len(pts)):
-            b = pts[j]
-            if mink.causal_le(a, b) and not any(mink.causal_le(c, b) for c in links):
-                links.append(b)
-                edges.append((ids[i], ids[j], Fraction(mink.tau(a, b))))
+    edges = [(ids[i], ids[j], Fraction(mink.tau(pts[i], pts[j]))) for i, j in _links(pts)]
     space = CausalSetSpace(vertices, edges, name=f"sprinkle(d={density},s={seed})")
     space.coordinates = {vid: pt for vid, pt in zip(ids, pts)}
     return space
+
+
+def _links(pts):
+    """The index pairs (i, j) of the links among points of R^{1,1} sorted by
+    (t, x), i ascending, then j.
+
+    In that order every point of a's causal future comes after a, and every
+    point between a and b comes before b, so the first later point of a's
+    future is a link, and so is each later one outside the futures of the
+    links found before it.  Each sweep step keeps the candidates outside the
+    new link's future with one array comparison, dt >= |dx| in the float
+    operations of MinkowskiSpace.causal_le, so every pair is decided exactly
+    as that call decides it.
+    """
+    import numpy as np
+
+    t = np.array([pt[0] for pt in pts])
+    x = np.array([pt[1] for pt in pts])
+    for i in range(len(pts)):
+        later = np.flatnonzero(t[i + 1:] - t[i] >= np.abs(x[i + 1:] - x[i])) + (i + 1)
+        while later.size:
+            j, later = int(later[0]), later[1:]
+            yield i, j
+            later = later[t[later] - t[j] < np.abs(x[later] - x[j])]
 
 
 # -- persistence ----------------------------------------------------------------

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import strategies as st
 
 from causalgeo import (CausalSetSpace, MinkowskiSpace, PuncturedMinkowski,
                        canonical_time_bundle, causet_time_bundle,
@@ -79,3 +82,26 @@ class TauOverride:
         if key in self._overrides:
             return self._overrides[key]
         return self._base.tau(x, y)
+
+
+STEPS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7), Fraction(1))
+WEIGHTS = (Fraction(0), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7),
+           Fraction(1), Fraction(2), 0.125)
+
+
+@st.composite
+def weighted_dags(draw, max_vertices=8):
+    """Random weighted DAGs mixing zero-weight edges with non-dyadic weights
+    and times, their vertex ids shuffled against the time order."""
+    n = draw(st.integers(1, max_vertices))
+    times = [Fraction(0)]
+    for _ in range(n - 1):
+        times.append(times[-1] + draw(st.sampled_from(STEPS)))
+    labels = draw(st.permutations(range(n)))
+    ids = [f"v{label}" for label in labels]
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if times[j] > times[i] and draw(st.booleans()):
+                edges.append((ids[i], ids[j], draw(st.sampled_from(WEIGHTS))))
+    return CausalSetSpace(list(zip(ids, times)), edges)

@@ -2,9 +2,10 @@
 
 The DAGs mix zero-weight edges with non-dyadic weights and times (thirds,
 sevenths), and their vertex ids are shuffled against the time order, so the
-id-ordered bitmasks, the integer-tick longest paths and Dijkstra and the
-pruned midpoint search are each compared with the plain enumeration or the
-Fraction arithmetic they replace.
+id-ordered bitmasks, the integer-tick longest-path passes, the A* null
+distance and the two-pass midpoint scan are each compared with the plain
+enumeration or the Fraction arithmetic they replace.  The sprinkle's link
+sweep is compared with the pairwise link scan it replaced.
 """
 
 import heapq
@@ -13,32 +14,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalgeo import (CausalSetSpace, TimeFunctionBundle, causet_time_bundle,
-                       check_anti_lipschitz, check_reverse_triangle, is_eps_tau_midpoint,
-                       null_distance, null_distance_oracle, sprinkle_causet)
+from causalgeo import (CausalSetSpace, MinkowskiSpace, TimeFunctionBundle,
+                       causet_time_bundle, check_anti_lipschitz, check_reverse_triangle,
+                       is_eps_tau_midpoint, null_distance, null_distance_oracle,
+                       sprinkle_causet)
 from causalgeo.errors import NotConnected, UnsupportedBackend
 from causalgeo.midpoints import _search_with_taus
 from causalgeo.nulldist import _graph
-
-STEPS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7), Fraction(1))
-WEIGHTS = (Fraction(0), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7),
-           Fraction(1), Fraction(2), 0.125)
-
-
-@st.composite
-def weighted_dags(draw, max_vertices=8):
-    n = draw(st.integers(1, max_vertices))
-    times = [Fraction(0)]
-    for _ in range(n - 1):
-        times.append(times[-1] + draw(st.sampled_from(STEPS)))
-    labels = draw(st.permutations(range(n)))
-    ids = [f"v{label}" for label in labels]
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if times[j] > times[i] and draw(st.booleans()):
-                edges.append((ids[i], ids[j], draw(st.sampled_from(WEIGHTS))))
-    return CausalSetSpace(list(zip(ids, times)), edges)
+from causalgeo.spaces import _links
+from conftest import weighted_dags
 
 
 def reference_longest(space, x):
@@ -107,16 +91,6 @@ class TestIndexedRelations:
                 assert space.chronological(x, y) == (
                     space.causal_le(x, y) and space.tau(x, y) > 0), (x, y)
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(weighted_dags())
-    def test_diamond_is_the_causal_interval(self, space):
-        ids = space.vertices
-        for p in ids:
-            for q in ids:
-                if space.causal_le(p, q):
-                    assert space.causal_diamond(p, q) == [
-                        y for y in ids if space.causal_le(p, y) and space.causal_le(y, q)]
-
 
 class TestIntegerTicks:
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -134,7 +108,10 @@ class TestIntegerDijkstra:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(weighted_dags())
     def test_value_and_path_match_fraction_dijkstra(self, space):
-        # Times scaled by 7/3 change the tick scale and scale every d_T by 7/3.
+        # A* may break ties between optimal walks differently from Dijkstra,
+        # so the path need only be an edge walk from x to y that attains the
+        # value.  Times scaled by 7/3 change the tick scale and scale every
+        # d_T by 7/3.
         thirds = CausalSetSpace([(v, space.time_of(v) * Fraction(7, 3)) for v in space.vertices],
                                 space.edges)
         for x in space.vertices:
@@ -142,10 +119,18 @@ class TestIntegerDijkstra:
                 for s in (space, thirds):
                     want = reference_dijkstra(s, x, y)
                     got = s.time_graph_distance(x, y, with_path=True)
-                    assert got == want
-                    if want is not None:
-                        assert isinstance(got[0], Fraction)
-                        assert s.time_graph_distance(x, y) == want[0]
+                    assert (got is None) == (want is None)
+                    if want is None:
+                        continue
+                    value, path = got
+                    assert isinstance(value, Fraction)
+                    assert value == want[0]
+                    assert s.time_graph_distance(x, y) == value
+                    assert path[0] == x and path[-1] == y
+                    assert all(b in s.out_edges(a) + s.in_edges(a)
+                               for a, b in zip(path, path[1:]))
+                    assert sum(abs(s.time_of(b) - s.time_of(a))
+                               for a, b in zip(path, path[1:])) == value
                 original = space.time_graph_distance(x, y)
                 if original is not None:
                     assert thirds.time_graph_distance(x, y) == original * Fraction(7, 3)
@@ -220,9 +205,107 @@ class TestPrunedMidpointSearch:
         space = CausalSetSpace([("p", 0), ("r", Fraction(1, 2)), ("q", 1)],
                                [("p", "q", 1)])
         bundle = causet_time_bundle(space)
-        assert space.causal_diamond("p", "q") == ["p", "q"]
+        assert not space.causal_le("p", "r") and not space.causal_le("r", "q")
         assert search(space, bundle, "p", "q", 1.0, None) == "r"
         assert search(space, bundle, "p", "q", 0.5, None) is None
+
+
+def fraction_scan(space, longest, p, q, eps, c, tol):
+    """``(y, tau(p,y), tau(y,q))`` from the Fraction inequalities over every
+    vertex, with the nearest time to the centre first and ties by id;
+    ``longest[x]`` holds the reference longest paths from x."""
+    t_p, t_q = space.time_of(p), space.time_of(q)
+    whole = Fraction(longest[p].get(q, 0))
+    found = []
+    for y in space.vertices:
+        left, right = longest[p].get(y, 0), longest[y].get(q, 0)
+        devs = (abs(left - whole / 2), abs(right - whole / 2))
+        within = all(d <= tol for d in devs) if eps == 0 else all(d < eps for d in devs)
+        u = (space.time_of(y) - t_p) / (t_q - t_p) if t_q > t_p else None
+        margin = 0 if u is None else min(u, 1 - u)
+        if within and (c is None or margin >= c - tol):
+            found.append((abs(space.time_of(y) - (t_p + t_q) / 2), y, left, right))
+    return min(found)[1:] if found else None
+
+
+class TestTwoPassScan:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(weighted_dags(max_vertices=7), st.sampled_from((None, 0.1, 0.25, 0.5)),
+           st.integers(0, 2**16))
+    def test_matches_fraction_scan_at_exact_ties(self, space, c, pick):
+        # The tolerances include every half-difference |tau(p,y) - tau(p,q)/2|
+        # exactly, as a Fraction and as the float nearest it, so a scan that
+        # confused < with <= or rounded a tolerance would select differently.
+        ids = space.vertices
+        longest = {x: reference_longest(space, x) for x in ids}
+        for p in ids:
+            for q in ids:
+                whole = space.tau(p, q)
+                diffs = sorted({abs(space.tau(p, y) - whole / 2) for y in ids}
+                               | {abs(space.tau(y, q) - whole / 2) for y in ids})
+                tol = diffs[pick % len(diffs)]
+                for eps in (0, *diffs, *map(float, diffs)):
+                    for t in ((0, tol, float(tol)) if eps == 0 else (tol,)):
+                        assert (space.midpoint_scan(p, q, eps, c, t)
+                                == fraction_scan(space, longest, p, q, eps, c, t)), (p, q, eps, t)
+
+    @pytest.mark.parametrize("weight, want", [(5, ("p", 0, 1)), (1, ("a", 0, 1))])
+    def test_vertex_before_p_is_scanned_when_eps_exceeds_half(self, weight, want):
+        # eps = 1 > tau(p,q)/2 admits points off the diamond.  a ties p in
+        # time, so it precedes p in the topological order and wins by id
+        # unless its own tau(a,q) keeps it out of the lens.
+        space = CausalSetSpace([("p", 0), ("a", 0), ("q", 1)],
+                               [("p", "q", 1), ("a", "q", weight)])
+        assert space.midpoint_scan("p", "q", 1.0, None, 0) == want
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(weighted_dags())
+    def test_passes_are_tau_from_and_to_every_vertex(self, space):
+        order, n = space._position, len(space.vertices)
+        longest = {x: reference_longest(space, x) for x in space.vertices}
+        for x in space.vertices:
+            forward = space._longest(order[x], range(order[x], n), space._out)
+            backward = space._longest(order[x], range(order[x], -1, -1), space._in)
+            for y in space.vertices:
+                assert Fraction(max(forward[order[y]], 0), space._scale) == longest[x].get(y, 0)
+                assert Fraction(max(backward[order[y]], 0), space._scale) == longest[y].get(x, 0)
+
+
+def pairwise_links(pts):
+    """The link scan the sweep replaced: each later point related to a and
+    to none of a's links found so far, by MinkowskiSpace.causal_le."""
+    mink = MinkowskiSpace(1)
+    edges = []
+    for i, a in enumerate(pts):
+        links = []
+        for j in range(i + 1, len(pts)):
+            b = pts[j]
+            if mink.causal_le(a, b) and not any(mink.causal_le(c, b) for c in links):
+                links.append(b)
+                edges.append((i, j, Fraction(mink.tau(a, b))))
+    return edges
+
+
+class TestLinkSweep:
+    @pytest.mark.parametrize("corners, density", [
+        (((0.0, 0.0), (1.0, 0.0)), 100),
+        (((0.0, 0.0), (1.0, 0.0)), 400),
+        (((0.1, -0.3), (1.7, 0.2)), 150),
+        (((-1.0, 0.25), (0.5, 0.5)), 300),
+    ])
+    @pytest.mark.parametrize("seed", [1, 42, 2023])
+    def test_edges_equal_pairwise_scan(self, corners, density, seed):
+        space = sprinkle_causet(corners, density, seed)
+        pts = sorted(space.coordinates.values())
+        index = {space.coordinates[v]: v for v in space.vertices}
+        want = [(index[pts[i]], index[pts[j]], w) for i, j, w in pairwise_links(pts)]
+        assert list(space.edges) == sorted(want)
+
+    def test_rounding_decides_null_pairs_as_causal_le_does(self):
+        # On a lattice of tenths most null pairs are decided by rounding:
+        # 0.1 * k - 0.1 * m is rarely the float that |dx| rounds to.
+        pts = sorted((0.1 * k, 0.1 * m - 0.6) for k in range(13) for m in range(13))
+        assert list(_links(pts)) == [(i, j) for i, j, _ in pairwise_links(pts)]
 
 
 class TestComplexityGuard:

@@ -636,16 +636,23 @@ class TestGoldenGeodesic:
 class TestGoldenCertify:
     """A density-100 sprinkle (58 vertices, so 58^3 > 8000 and chains are
     sampled); its certificates were recorded while pairs and chains were
-    still listed in full and Dijkstra added Fractions."""
+    still listed in full and Dijkstra added Fractions.  The density-400 run
+    is the ``certify-causet`` benchmark input (214 vertices), recorded
+    before the two-pass midpoint scan, A* and the link sweep."""
 
-    def test_certificates_match_golden(self, tmp_path):
+    def _check(self, tmp_path, name):
         golden = os.path.join(os.path.dirname(__file__), "golden")
         out = tmp_path / "o"
-        assert run("certify", "--config", os.path.join(golden, "certify_causet_d100.cfg"),
+        assert run("certify", "--config", os.path.join(golden, f"{name}.cfg"),
                    "--out", str(out)) == 0
-        with open(os.path.join(golden, "certify_causet_d100", "certificates.json"),
-                  "rb") as fh:
+        with open(os.path.join(golden, name, "certificates.json"), "rb") as fh:
             assert (out / "certificates.json").read_bytes() == fh.read()
+
+    def test_certificates_match_golden(self, tmp_path):
+        self._check(tmp_path, "certify_causet_d100")
+
+    def test_density_400_certificates_match_golden(self, tmp_path):
+        self._check(tmp_path, "certify_causet_d400")
 
 
 class TestGoldenZigzag:

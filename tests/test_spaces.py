@@ -241,7 +241,7 @@ class TestSprinkle:
 
     @pytest.mark.parametrize("density", [50, 100, 200, 400])
     def test_links_match_reduced_causal_relation(self, density):
-        # The link scan assumes the float causal predicate is transitive on
+        # The link sweep assumes the float causal predicate is transitive on
         # the sprinkled points; the reference assumes nothing of the kind.
         mink = MinkowskiSpace(1)
         for seed in range(20):

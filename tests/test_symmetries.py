@@ -1,4 +1,5 @@
-"""Symmetry oracles on flat backends, for both flat time functions.
+"""Symmetry oracles on flat backends, for both flat time functions, and on
+causal sets.
 
 Negating one spatial coordinate is an isometry that both time functions
 ignore, and every formula on flat space reads spatial offsets only through
@@ -6,13 +7,24 @@ differences and norms, so tau, d_T and the midpoint search must commute with
 it bit for bit.  Time reversal t -> -t swaps the causal order; both f(t) = t
 and f(t) = t^3 are odd, so tau(p, q) and d_T(p, q) must equal their values
 on the reversed pair (-q, -p), up to rounding.
+
+On a causal set both symmetries are exact.  Reversing every edge and
+negating every time gives the reversed set, whose tau(y, x) is tau(x, y)
+(its forward passes are the backward passes of the original) and whose
+|dT| graph is the same; renaming the vertices changes neither.
 """
 
-import pytest
+from fractions import Fraction
 
-from causalgeo import (MidpointQuery, MinkowskiSpace, canonical_time_bundle,
-                       cubic_time_bundle, find_midpoint, null_distance)
+import pytest
+from hypothesis import given, settings
+
+from causalgeo import (CausalSetSpace, MidpointQuery, MinkowskiSpace, canonical_time_bundle,
+                       causet_time_bundle, cubic_time_bundle, find_midpoint, null_distance,
+                       sprinkle_causet)
 from causalgeo.core import make_rng
+from causalgeo.errors import NotConnected
+from conftest import weighted_dags
 
 CASES = [(dim, make) for dim in (1, 2) for make in (canonical_time_bundle, cubic_time_bundle)]
 IDS = [f"1+{dim}-{make.__name__}" for dim, make in CASES]
@@ -62,3 +74,45 @@ def test_time_reversal_keeps_tau_and_null_distance(dim, make):
         assert space.tau(rp, rq) == pytest.approx(space.tau(p, q), abs=1e-12)
         assert (null_distance(space, bundle, rp, rq).value
                 == pytest.approx(null_distance(space, bundle, p, q).value, abs=1e-12))
+
+
+def _null_distance(space, x, y):
+    try:
+        return null_distance(space, causet_time_bundle(space), x, y).value
+    except NotConnected:
+        return None
+
+
+def _reversed(space):
+    return CausalSetSpace([(v, -space.time_of(v)) for v in space.vertices],
+                          [(dst, src, w) for src, dst, w in space.edges])
+
+
+def _renamed(space, name):
+    return CausalSetSpace([(name[v], space.time_of(v)) for v in space.vertices],
+                          [(name[src], name[dst], w) for src, dst, w in space.edges])
+
+
+def _assert_causet_symmetries(space):
+    rev = _reversed(space)
+    # Reversed id order interleaves differently with the time order.
+    name = {v: f"w{len(space.vertices) - i}" for i, v in enumerate(space.vertices)}
+    renamed = _renamed(space, name)
+    for x in space.vertices:
+        for y in space.vertices:
+            tau, d = space.tau(x, y), _null_distance(space, x, y)
+            assert isinstance(tau, Fraction)
+            assert rev.tau(y, x) == tau, (x, y)
+            assert renamed.tau(name[x], name[y]) == tau, (x, y)
+            assert _null_distance(rev, x, y) == d, (x, y)
+            assert _null_distance(renamed, name[x], name[y]) == d, (x, y)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(weighted_dags())
+def test_causet_reversal_and_renaming_keep_tau_and_null_distance(space):
+    _assert_causet_symmetries(space)
+
+
+def test_sprinkle_reversal_and_renaming_keep_tau_and_null_distance():
+    _assert_causet_symmetries(sprinkle_causet(((0.0, 0.0), (1.0, 0.0)), 60, 7))
