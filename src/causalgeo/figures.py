@@ -10,8 +10,7 @@ formatted to six decimals so golden comparisons at 1e-6 are meaningful.
 
 from __future__ import annotations
 
-from .midpoints import LensStrip
-from .spaces import PlaneFrame
+from .midpoints import LensStrip, affine_midpoint
 
 
 def _fmt(v):
@@ -40,7 +39,7 @@ def lens_geometry(lens: LensStrip, samples: int = 200):
     polylines.append(("strip_upper", [(strip_hi_t, x_lo), (strip_hi_t, x_hi)]))
     polylines.append(("time_axis", [(t_lo, axis_x), (t_hi, axis_x)]))
     box = (t_lo, t_hi, x_lo, x_hi)
-    midpoint = PlaneFrame(p, q).midpoint()
+    midpoint = affine_midpoint(p, q)
     return polylines, box, midpoint
 
 

@@ -11,11 +11,11 @@ rest frame: the lens arcs, and the largest eps whose lens fits the strip.
 
 Midpoint search is deterministic: on causal sets one scan of the causal
 diamond in integer ticks, ties broken by id; on flat backends the affine
-midpoint (p+q)/2, which is the
-unique exact tau-midpoint there, built in the p-q plane frame and rejected
-when it falls on a removed point; in the approximate case, one closed-form
-candidate on the lens's level of T nearest (T(p)+T(q))/2, in the p-q
-plane, with the affine midpoint as the fallback.  There is one search,
+midpoint (p+q)/2 (:func:`affine_midpoint`), which is the unique exact
+tau-midpoint there, rejected when it falls on a removed point; in the
+approximate case, one closed-form candidate on the lens's level of T
+nearest (T(p)+T(q))/2, in the p-q plane, with the affine midpoint as the
+fallback.  There is one search,
 :func:`_search_with_taus`, behind :func:`find_midpoint`, the dyadic build
 and the compatibility certificate, which drops the strip filter and reads
 the best constant off the selected point.  Given tau(p,q), the search
@@ -69,6 +69,11 @@ def is_eps_tau_midpoint(space: Space, p, q, y, epsilon: float, tol=None) -> bool
     tol = resolve_tol(space, tol)
     return _halves_within(space.tau(p, q) / 2, space.tau(p, y), space.tau(y, q),
                           epsilon, tol)
+
+
+def affine_midpoint(p, q):
+    """(p+q)/2 coordinatewise: the unique exact tau-midpoint on flat space."""
+    return tuple((a + b) / 2 for a, b in zip(p, q))
 
 
 def _halves_within(half, tau_py, tau_yq, epsilon, tol):
@@ -139,7 +144,7 @@ class LensStrip:
         """
         self._require_plane()
         if self.epsilon == 0:
-            m = PlaneFrame(self.p, self.q).midpoint()
+            m = affine_midpoint(self.p, self.q)
             return [("lens_p", [m]), ("lens_q", [m])]
         radius = self.half - self.epsilon
         if radius <= 0:
@@ -225,8 +230,7 @@ def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
             return None
         return y, left, right
 
-    frame = PlaneFrame(p, q)
-    exact = frame.midpoint()
+    exact = affine_midpoint(p, q)
     guard = max(tol, 1e-12)
 
     def near_removed(y):
@@ -244,6 +248,7 @@ def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
     if found is not None:
         return found
 
+    frame = PlaneFrame(p, q)
     tp, tq, span = p[0], q[0], frame.span
     r = max(half - eps, 0.0)
     h, s = math.sqrt(half * half - r * r), span / tau_pq

@@ -79,40 +79,9 @@ def null_length(bundle: TimeFunctionBundle, curve: PiecewiseCausalCurve) -> Null
 # -- zigzag search on flat backends ---------------------------------------------
 
 
-def _null_corners(frame):
-    """Apexes of the two-segment null zigzags joining p and q.
-
-    Returns (up_corner, down_corner) in the plane coordinates of ``frame``,
-    nudged slightly inside the cones so the reconstructed points pass the
-    exact causal predicates despite rounding.
-    """
-    (tp, _), (tq, span) = frame.p_plane, frame.q_plane
-    up_t, down_t = (tp + tq + span) / 2.0, (tp + tq - span) / 2.0
-    nudge = _corner_nudge(tp, tq, span)
-    return (up_t + nudge, up_t - tp), (down_t - nudge, tp - down_t)
-
-
 def _corner_nudge(ta, tb, gap):
-    """How far :func:`_null_corners` pushes an apex inside the cones."""
+    """How far :func:`_teeth` pushes a turning point inside the cones."""
     return 1e-12 * (1.0 + abs(ta) + abs(tb) + gap)
-
-
-def _two_segment_candidates(space, bundle, frame, p, q):
-    """The two null-corner zigzags, where their apexes survive."""
-    out = []
-    up, down = _null_corners(frame)
-    for (t, s), orientations in ((up, (FUTURE, PAST)), (down, (PAST, FUTURE))):
-        m = frame.embed(t, s)
-        if not space.contains(m):
-            continue
-        first, second = orientations
-        ok_p = space.causal_le(p, m) if first == FUTURE else space.causal_le(m, p)
-        ok_q = space.causal_le(q, m) if second == PAST else space.causal_le(m, q)
-        if not (ok_p and ok_q):
-            continue
-        cost = abs(bundle.time(m) - bundle.time(p)) + abs(bundle.time(q) - bundle.time(m))
-        out.append((cost, (p, m, q), orientations))
-    return out
 
 
 def _zigzag(space, bundle, p, q) -> NullDistanceResult:
@@ -138,69 +107,70 @@ def _zigzag(space, bundle, p, q) -> NullDistanceResult:
     (t_p + t_q -+ ||Dx||)/2, where R = 0, or at a level strictly between
     them where f' has a local minimum: ``bundle.slope_minima``.
 
-    A corner level is valued by the nudged corner of :func:`_null_corners`,
-    from its own coordinates, so coordinate time, which has no other
-    candidate, keeps its values bit for bit.  If both corners are removed
-    points, the value is g at the better corner level, as removing finitely
-    many points does not change the infimum.
+    Every candidate level is valued by g alone; removing finitely many
+    points does not change the infimum, so removed points move only the
+    witness.  For coordinate time g at either corner is max(|dt|, ||Dx||)
+    up to rounding.
     """
-    frame = PlaneFrame(p, q)
-    (tp, _), (tq, span) = frame.p_plane, frame.q_plane
-    cands = _two_segment_candidates(space, bundle, frame, p, q)
-    found = [(cost, partial(PiecewiseCausalCurve, space, joints, orientations))
-             for cost, joints, orientations in cands]
+    tp, tq, span = p[0], q[0], math.dist(p[1:], q[1:])
     down, up = (tp + tq - span) / 2.0, (tp + tq + span) / 2.0
-    levels = [(s, 0.0) for s in (up, down) if not cands]
+    levels = [(up, 0.0), (down, 0.0)]
     levels += [(s, slope) for s, slope in bundle.slope_minima if down < s < up]
+    time_p, time_q = bundle.time(p), bundle.time(q)
+    found = []
     for s, slope in levels:
         f_s = bundle.f(s)
         reach = max(0.0, span - abs(s - tp) - abs(s - tq))
-        value = abs(f_s - bundle.time(p)) + abs(bundle.time(q) - f_s) + slope * reach
-        found.append((value, partial(_crossing_witness, space, bundle, frame, p, q, s, value)))
-    value, build = min(found, key=lambda c: c[0])
-    return NullDistanceResult(value, build, "zigzag")
+        found.append((abs(f_s - time_p) + abs(time_q - f_s) + slope * reach, s))
+    value, level = min(found, key=lambda c: c[0])
+    return NullDistanceResult(
+        value, partial(_crossing_witness, space, bundle, p, q, level, value), "zigzag")
 
 
-def _crossing_witness(space, bundle, frame, p, q, level, value):
+def _crossing_witness(space, bundle, p, q, level, value):
     """A piecewise causal curve from p to q crossing at ``level``, with null
     length within tolerance above ``value``, g(level) of :func:`_zigzag`.
 
     N null teeth of height h = R/(4N) straddle the level.  Each costs
     2 (f(level + h) - f(level - h)) for 4h of ||Dx||, so the excess over g
-    falls like R h^2.  N is taken from the excess gap_1 of one tooth,
-    N = ceil(sqrt(gap_1 / tol)), and the curve is built once more and
-    checked.  With R = 0 the curve is the null corner at the level.
+    falls like R h^2.  N is taken from the excess gap_1 of one tooth and
+    aimed at half the tolerance, N = ceil(sqrt(2 gap_1 / tol)), and the
+    curve is built once more and checked.  At a null-corner level, R = 0
+    and the curve is the null corner.
     """
     tol, teeth = resolve_tol(space, None), 1
+    frame = PlaneFrame(p, q)
     for _ in range(2):
         curve = _teeth(space, frame, p, q, level, teeth)
         gap = null_length(bundle, curve).value - value
         if gap <= tol:
             return curve
-        teeth = math.ceil(math.sqrt(gap / tol))
+        teeth = math.ceil(math.sqrt(2 * gap / tol))
     raise BudgetExceeded(f"teeth crossing level {level} miss the null distance", gap)
 
 
 def _teeth(space, frame, p, q, level, teeth):
     """Null from p to ``level``, ``teeth`` teeth across the remaining R, null
-    on to q.  Each turning point is nudged inside the cones as in
-    :func:`_null_corners`, and further while it is a removed point."""
-    (tp, _), (tq, span) = frame.p_plane, frame.q_plane
+    on to q.  Each turning point, a joint at or beyond both neighbours in
+    time, is nudged :func:`_corner_nudge` further out, so it is causal to
+    both despite rounding, and further while it is a removed point.  Teeth
+    are laid where R exceeds the nudge, which the nudged corner covers, or
+    where the curve passes the level monotonically and cannot turn there."""
+    tp, tq, span = p[0], q[0], frame.span
     a, b = abs(level - tp), span - abs(tq - level)
-    profile = [frame.p_plane, (level, a)]
-    if b > a:
+    nudge = _corner_nudge(tp, tq, span)
+    profile = [(tp, 0.0), (level, a)]
+    if b - a > nudge or min(tp, tq) < level < max(tp, tq):
         h = (b - a) / (4 * teeth)
         for k in range(teeth):
             profile += [(level + h, a + (4 * k + 1) * h), (level - h, a + (4 * k + 3) * h)]
         profile.append((level, b))
-    profile.append(frame.q_plane)
-    nudge = _corner_nudge(tp, tq, span)
+    profile.append((tq, span))
     points = [p]
     for (t0, _), (t, s), (t1, _) in zip(profile, profile[1:], profile[2:]):
-        # Joints are the turning points; the rest lie on straight null runs
-        # or repeat an endpoint at the level.
-        if (t - t0) * (t1 - t) < 0:
-            step = nudge if t > t0 else -nudge
+        # Joints are the turning points; the rest lie on straight null runs.
+        if t >= max(t0, t1) or t <= min(t0, t1):
+            step = nudge if t >= max(t0, t1) else -nudge
             t += step
             while not space.contains(frame.embed(t, s)):
                 t += step

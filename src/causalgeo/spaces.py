@@ -135,15 +135,9 @@ class PlaneFrame:
             self.unit = (1.0,) + (0.0,) * (len(dxv) - 1)
         else:
             self.unit = tuple(d / self.span for d in dxv)
-        self.p_plane = (p[0], 0.0)
-        self.q_plane = (q[0], self.span)
 
     def embed(self, t, s):
         return (t, *(a + s * u for a, u in zip(self.base[1:], self.unit)))
-
-    def midpoint(self):
-        """The affine midpoint (p+q)/2: the unique exact tau-midpoint on flat space."""
-        return self.embed((self.p_plane[0] + self.q_plane[0]) / 2.0, self.span / 2.0)
 
 
 class PuncturedMinkowski(MinkowskiSpace):

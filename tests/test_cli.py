@@ -618,8 +618,9 @@ class TestGoldenGeodesic:
     """Depth-5 runs whose outputs were recorded from the Fraction-keyed curve
     and the Newton midpoint solver; the index-backed curve and the closed-form
     midpoint must reproduce them byte for byte.  The depth-10 run was
-    recorded from ``json.dumps`` of the whole curve, before it was streamed,
-    and before each adjacent tau was threaded through the build."""
+    recorded when the exact midpoint became (p+q)/2 coordinatewise, which
+    moved 121 of its 1,025 points by at most 5.6e-17 from the plane-frame
+    midpoint."""
 
     @pytest.mark.parametrize("name", ["geodesic_exact_d5", "geodesic_punctured_d5",
                                       "geodesic_exact_d10"])
@@ -656,9 +657,10 @@ class TestGoldenCertify:
 
 
 class TestGoldenZigzag:
-    """Flat Minkowski 1+2 runs through the zigzag route, recorded while it
-    still ran the four-segment search on every spacelike pair; stopping at
-    the null corner must reproduce them byte for byte."""
+    """Flat Minkowski 1+2 runs through the zigzag route.  The distances were
+    recorded when every corner level came to be valued by g(s), which moved
+    213 of the 300 rows by at most 9.3e-12 onto max(|dt|, ||dx||); the
+    certificates were recorded while the four-segment search still ran."""
 
     def test_nulldist_matches_golden(self, tmp_path):
         # 300 pairs uniform in [-1, 1]^3, drawn with random.Random(5).

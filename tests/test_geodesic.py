@@ -15,7 +15,7 @@ from causalgeo import (CausalSetSpace, DyadicCurve, MinkowskiSpace, PuncturedMin
 from causalgeo.errors import (BudgetExceeded, CauchyBudget, MidpointUnavailable,
                               NotChronological, NotComplete)
 from causalgeo.geodesic import MAX_DEPTH, _null_branch_curve
-from causalgeo.spaces import PlaneFrame
+from causalgeo.midpoints import affine_midpoint
 
 P, Q = (0.0, 0.0), (2.0, 0.0)
 
@@ -339,7 +339,7 @@ def flat_curves(draw):
     q = (p[0] + dt, *(a + dt * draw(st.floats(-0.5, 0.5)) / dim for a in p[1:]))
     mode = draw(st.sampled_from(["exact", "approximate"]))
     if mode == "approximate" and draw(st.booleans()):
-        space = PuncturedMinkowski(dim, removed=[PlaneFrame(p, q).midpoint()])
+        space = PuncturedMinkowski(dim, removed=[affine_midpoint(p, q)])
     else:
         space = MinkowskiSpace(dim)
     epsilon = 0.0

@@ -17,8 +17,7 @@ from causalgeo.core import make_rng
 from causalgeo.errors import (CurveTooShort, DegenerateStrip,
                               MidpointBoundsViolated, NotARealizer,
                               NotChronological, UnsupportedBackend)
-from causalgeo.midpoints import _search_with_taus, _strip_margin
-from causalgeo.spaces import PlaneFrame
+from causalgeo.midpoints import _search_with_taus, _strip_margin, affine_midpoint
 
 P, Q = (0.0, 0.0), (2.0, 0.0)
 
@@ -154,7 +153,7 @@ def flat_search_cases(draw, kind):
     direction = (1.0,) if dim == 1 else (math.cos(angle), math.sin(angle))
     q = (p[0] + dt, *(a + speed * dt * u for a, u in zip(p[1:], direction)))
     if kind == "punctured-1+1":
-        space = PuncturedMinkowski(1, removed=[PlaneFrame(p, q).midpoint()])
+        space = PuncturedMinkowski(1, removed=[affine_midpoint(p, q)])
         bundle = canonical_time_bundle(space)
     else:
         space = MinkowskiSpace(dim)

@@ -4,7 +4,9 @@ causal sets.
 Negating one spatial coordinate is an isometry that both time functions
 ignore, and every formula on flat space reads spatial offsets only through
 differences and norms, so tau, d_T and the midpoint search must commute with
-it bit for bit.  Time reversal t -> -t swaps the causal order; both f(t) = t
+it bit for bit.  Dilation by 2 is exact in floats, and with T = t every
+formula is homogeneous of degree one, so d_T and the exact midpoint double
+bit for bit.  Time reversal t -> -t swaps the causal order; both f(t) = t
 and f(t) = t^3 are odd, so tau(p, q) and d_T(p, q) must equal their values
 on the reversed pair (-q, -p), up to rounding.
 
@@ -74,6 +76,27 @@ def test_time_reversal_keeps_tau_and_null_distance(dim, make):
         assert space.tau(rp, rq) == pytest.approx(space.tau(p, q), abs=1e-12)
         assert (null_distance(space, bundle, rp, rq).value
                 == pytest.approx(null_distance(space, bundle, p, q).value, abs=1e-12))
+
+
+def _dilate(x):
+    return tuple(2 * c for c in x)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dilation_doubles_coordinate_time_exactly(dim):
+    # t^3 reads T through pow, which is not correctly rounded, so (2t)^3 can
+    # differ from 8 t^3 in the last bit; it is left out.
+    space = MinkowskiSpace(dim)
+    bundle, rng = canonical_time_bundle(space), make_rng(23)
+    points = space.sample_points(rng, 600)
+    for p, q in zip(points[0::2], points[1::2]):
+        assert (null_distance(space, bundle, _dilate(p), _dilate(q)).value
+                == 2 * null_distance(space, bundle, p, q).value)
+    for p, q in space.sample_chronological_pairs(rng, 100):
+        y = find_midpoint(space, bundle, MidpointQuery(p, q, c=0.1))
+        assert y is not None
+        assert find_midpoint(space, bundle,
+                             MidpointQuery(_dilate(p), _dilate(q), c=0.1)) == _dilate(y)
 
 
 def _null_distance(space, x, y):
