@@ -19,8 +19,9 @@ predicate on a failing certificate's stored witness.  Predicates read their
 tolerance and parameters from the certificate and compare exact values
 against the tolerance without adding it, so rationals stay exact.
 
-:func:`json_text`, :func:`csv_text` and :func:`csv_rows` are the one home of
-the toolkit's JSON and CSV text, beside :func:`atomic_write`.
+:func:`json_chunks` (joined by :func:`json_text`), :func:`csv_text` and
+:func:`csv_rows` are the one home of the toolkit's JSON and CSV text, beside
+:func:`atomic_write`.
 """
 
 from __future__ import annotations
@@ -284,9 +285,16 @@ def jsonable(value):
     return str(value)
 
 
+def json_chunks(payload):
+    """JSON with sorted keys, a two-space indent and a trailing newline, as
+    the encoder's chunks: a writer can stream them without joining them."""
+    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    yield "\n"
+
+
 def json_text(payload):
-    """JSON with sorted keys, a two-space indent and a trailing newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The text of :func:`json_chunks`."""
+    return "".join(json_chunks(payload))
 
 
 def csv_text(header, rows):
@@ -321,10 +329,8 @@ def atomic_write(path, text):
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            if isinstance(text, str):
-                fh.write(text)
-            else:
-                fh.writelines(text)
+            for chunk in [text] if isinstance(text, str) else text:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -17,7 +17,8 @@ The checkers certify, on the stored grid and on sampled real parameters:
 * the (approximate) constant-speed realizer property with the sandwich
   slack ``2 * 2^-depth`` inherited from truncating parameters to depth.
 
-A curve of depth D stores one list of ``2^D + 1`` points: the dyadic
+A curve of depth D stores one list of ``2^D + 1`` points (a flat one
+also keeps them as the rows of one array): the dyadic
 ``k/2^n`` lives at index ``i = k * 2^(D-n)``, so level n is the stride
 ``2^(D-n)`` of that list and every walk over the curve is integer index
 arithmetic.  Exact ``Fraction`` parameters appear only at the API edge
@@ -33,7 +34,10 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .core import (Certificate, DEFAULT_SEED, Space, TimeFunctionBundle, certify,
                    first, make_rng, predicate, resolve_tol)
@@ -41,7 +45,7 @@ from .errors import (BudgetExceeded, CauchyBudget, CausalGeoError, MidpointUnava
                      NotChronological)
 # find_midpoint is not called here; perfbench's tracer looks it up by this name.
 # Drop it when the tracer wraps _search_with_taus instead (ROADMAP item 1).
-from .midpoints import _search_with_taus, find_midpoint  # noqa: F401
+from .midpoints import _each, _flat_search, _search_with_taus, find_midpoint  # noqa: F401
 
 EXACT = "exact"
 APPROXIMATE = "approximate"
@@ -49,10 +53,14 @@ NULL = "null"
 
 # The deepest curve a build accepts.  Time and memory double with each level:
 # an exact Minkowski 1+2 `causalgeo geodesic` run with every certificate took
-# 3 s and 94 MB at depth 18 and 12 s and 287 MB at depth 20 on a shared
-# 2-core machine (28 s when it was busy), so one level more would pass half
-# a gigabyte.
+# 1.6-1.8 s and 94 MB at depth 18 and 5.4-5.6 s and 264 MB at depth 20 on a
+# shared 2-core machine.  Writing the 165 MB curve.json takes most of that
+# time and the list of point tuples most of that memory, so one level more
+# would pass half a gigabyte.
 MAX_DEPTH = 20
+
+# Rows per block when a certificate walks a flat curve's point array.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -61,9 +69,11 @@ class DyadicCurve:
 
     ``points`` holds the ``2^depth + 1`` stored points, the one at ``k/2^n``
     at index ``k * 2^(depth-n)``.  The constructor also accepts a mapping
-    from every such dyadic (as a ``Fraction``) to its point.  The curve
-    keeps references to its space and time-function bundle so checkers and
-    the continuous extension need no extra context.
+    from every such dyadic (as a ``Fraction``) to its point, or a flat
+    curve's points as the rows of one float array, which it keeps as
+    ``point_array`` (the endpoints are stored as given).  The curve keeps
+    references to its space and time-function bundle so checkers and the
+    continuous extension need no extra context.
 
     ``json_chunks`` streams the text of ``curve.json``; ``as_dict`` builds
     the same payload as dicts, for the library and ``from_dict``.
@@ -80,11 +90,22 @@ class DyadicCurve:
     points: list = field(repr=False)
 
     def __post_init__(self):
-        if isinstance(self.points, Mapping):
+        if isinstance(self.points, np.ndarray):
+            # Filled in ahead, as cached_property would fill it.
+            self.__dict__["point_array"] = self.points
+            points = list(zip(*self.points.T.tolist()))
+            points[0], points[-1] = self.p, self.q
+            object.__setattr__(self, "points", points)
+        elif isinstance(self.points, Mapping):
             if len(self.points) != (1 << self.depth) + 1:
                 raise ValueError(f"a depth-{self.depth} curve stores every dyadic "
                                  f"k/2^{self.depth}, got {len(self.points)} points")
             object.__setattr__(self, "points", [self.points[fr] for fr in self.params()])
+
+    @cached_property
+    def point_array(self):
+        """The stored points of a flat curve as one (2^depth + 1, 1+n) float array."""
+        return np.array(self.points, dtype=float)
 
     @property
     def values(self):
@@ -217,11 +238,18 @@ def build_dyadic_curve(space: Space, bundle: TimeFunctionBundle, p, q, c: float,
                        tol=None) -> DyadicCurve:
     """Populate all dyadics up to ``depth`` by strip-compatible midpoint insertion.
 
-    Raises MidpointUnavailable(level, pair) as soon as the midpoint oracle
-    returns no admissible point, surfacing which hypothesis of the
-    construction failed.  Branches whose endpoints have collapsed to a
-    single point (possible on finite backends) stop refining.  A depth
-    above ``MAX_DEPTH`` raises BudgetExceeded before any work starts.
+    Raises MidpointUnavailable(level, pair) for the first pair of a level
+    that the midpoint oracle leaves without an admissible point, surfacing
+    which hypothesis of the construction failed.  Branches whose endpoints
+    have collapsed to a single point (possible on finite backends) stop
+    refining.  A depth above ``MAX_DEPTH`` raises BudgetExceeded before any
+    work starts.
+
+    On a causal set the searches run pair by pair.  A flat curve is built
+    in one (2^depth + 1, 1+n) float array: each level is one row-wise
+    search (:func:`~causalgeo.midpoints._flat_search`) whose parents and
+    midpoints are strided views of it, and the curve keeps the array as
+    ``point_array``.
 
     Each level keeps the tau of its adjacent pairs, in order: the search
     that inserts a midpoint m between x and z returns tau(x, m) and
@@ -248,63 +276,98 @@ def build_dyadic_curve(space: Space, bundle: TimeFunctionBundle, p, q, c: float,
     tol = resolve_tol(space, tol)
 
     denom = 1 << depth
-    points = [None] * (denom + 1)
+    if space.is_discrete:
+        points, refine = [None] * (denom + 1), _refine_pairs
+    else:
+        points, refine = np.empty((denom + 1, len(p))), _refine_rows
     points[0], points[denom] = p, q
     taus = [tau_pq]
     broken = None
     for level in range(1, depth + 1):
         step = denom >> level
         level_eps = 0.0 if mode == EXACT else epsilon / (4 ** level)
-        level_taus = []
-        for i, tau_xz in zip(range(step, denom, 2 * step), taus):
-            x, z = points[i - step], points[i + step]
-            if x == z:
-                # Both halves collapse too: the invariants skip them and no
-                # search reads their tau.
-                points[i] = x
-                level_taus += (0, 0)
-                continue
+        taus, k = refine(space, bundle, points, step, taus, level_eps, c, tol)
+        if k is not None:
+            x, z = (_stored(points, i, p, q) for i in (2 * k * step, (2 * k + 2) * step))
             if not space.chronological(x, z):
                 raise MidpointUnavailable(level, (x, z), "parents lost chronological order")
-            found = _search_with_taus(space, bundle, x, z, level_eps, c, tol, tau_xz)
-            if found is None:
-                kind = "exact" if mode == EXACT else f"eps={level_eps:g}"
-                raise MidpointUnavailable(
-                    level, (x, z),
-                    f"no {kind} midpoint in the strip for c={c}; the backend lacks "
-                    "strip-compatible midpoints for this pair")
-            points[i], tau_xm, tau_mz = found
-            level_taus += (tau_xm, tau_mz)
-        taus = level_taus
+            kind = "exact" if mode == EXACT else f"eps={level_eps:g}"
+            raise MidpointUnavailable(
+                level, (x, z),
+                f"no {kind} midpoint in the strip for c={c}; the backend lacks "
+                "strip-compatible midpoints for this pair")
         # A midpoint missing at a deeper level outranks a broken invariant,
         # so the first broken level is only raised once every level is built.
         if broken is None:
-            broken = _level_invariant_error(points, step, taus, level, tau_pq,
+            broken = _level_invariant_error(points[::step], taus, level, tau_pq,
                                             epsilon, mode == EXACT, tol)
     if broken is not None:
         raise broken
     return DyadicCurve(space, bundle, p, q, c, depth, mode, epsilon, points)
 
 
-def _level_invariant_error(points, step, taus, level, tau_pq, epsilon, exact, tol):
+def _refine_pairs(space, bundle, points, step, taus, eps, c, tol):
+    """Insert one level's midpoints into the list ``points`` pair by pair, as
+    the discrete search runs.  Returns the level's adjacent tau, in order,
+    and None, or None and the index of the first pair without a midpoint."""
+    level_taus = []
+    for k, tau_xz in enumerate(taus):
+        i = (2 * k + 1) * step
+        x, z = points[i - step], points[i + step]
+        if x == z:
+            # Both halves collapse too: the invariants skip them and no
+            # search reads their tau.
+            points[i] = x
+            level_taus += (0, 0)
+            continue
+        found = space.chronological(x, z) and _search_with_taus(space, bundle, x, z, eps,
+                                                                c, tol, tau_xz)
+        if not found:
+            return None, k
+        points[i], tau_xm, tau_mz = found
+        level_taus += (tau_xm, tau_mz)
+    return level_taus, None
+
+
+def _refine_rows(space, bundle, points, step, taus, eps, c, tol):
+    """:func:`_refine_pairs` for the point array of a flat curve: one
+    row-wise search over strided views of it, parents and midpoints alike."""
+    ms, tau_xm, tau_mz, found = _flat_search(space, bundle, points[:-1:2 * step],
+                                             points[2 * step::2 * step],
+                                             np.asarray(taus, float), eps, c, tol)
+    if not found.all():
+        return None, int(np.argmin(found))
+    points[step::2 * step] = ms
+    return np.column_stack((tau_xm, tau_mz)).ravel(), None
+
+
+def _stored(points, i, p, q):
+    """The point at index i of the build's ``points`` as the curve stores it:
+    the endpoints as given, array rows as tuples of floats."""
+    if isinstance(points, list):
+        return points[i]
+    return p if i == 0 else q if i == len(points) - 1 else tuple(points[i].tolist())
+
+
+def _level_invariant_error(level_points, taus, level, tau_pq, epsilon, exact, tol):
     """The error for the first level-``level`` pair whose tau (``taus[k]`` for
-    the pair at indices ``k*step``, ``(k+1)*step``) leaves the level's target
-    (exact mode) or floor (approximate mode), or None."""
+    the pair ``level_points[k]``, ``level_points[k+1]``) leaves the level's
+    target (exact mode) or floor (approximate mode), or None.  Pairs that
+    have collapsed to one point are skipped."""
     target = tau_pq / (1 << level)
     floor = (tau_pq - epsilon) / (1 << level)
     drift = 4 * tol * (1 + float(tau_pq))
-    for k, t in enumerate(taus):
-        if points[k * step] == points[(k + 1) * step]:
+    # Exact rationals stay exact: a list of Fractions becomes an object array.
+    taus = np.asarray(taus)
+    off = abs(taus - target) > drift if exact else np.logical_not(taus > floor - tol)
+    for k in np.flatnonzero(off).tolist():
+        if np.array_equal(level_points[k], level_points[k + 1]):
             continue
-        if exact and abs(t - target) > drift:
-            problem = f"drifted from {float(target)}"
-        elif not exact and not t > floor - tol:
-            problem = f"below the level floor {float(floor)}"
-        else:
-            continue
+        problem = (f"drifted from {float(target)}" if exact
+                   else f"below the level floor {float(floor)}")
         a_param, b_param = Fraction(k, 1 << level), Fraction(k + 1, 1 << level)
         return CausalGeoError(
-            f"level {level} pair {a_param}..{b_param}: tau {float(t)} {problem}")
+            f"level {level} pair {a_param}..{b_param}: tau {float(taus[k])} {problem}")
     return None
 
 
@@ -336,25 +399,32 @@ def check_subsequent_bound(curve: DyadicCurve, bundle: TimeFunctionBundle = None
     bundle = bundle or curve.bundle
     tol = resolve_tol(curve.space, tol)
     gap_total = float(bundle.time(curve.q) - bundle.time(curve.p))
-    times = [bundle.time(x) for x in curve.points]
+    times = _stored_times(curve, bundle)
     cases = []
     max_excess = -math.inf
     for level in range(1, curve.depth + 1):
         bound = (1 - curve.c) ** level * gap_total
         step = 1 << (curve.depth - level)
-        level_times = times[::step]
-        gaps = [float(b - a) for a, b in zip(level_times, level_times[1:])]
+        gaps = np.diff(times[::step]).astype(float)
         # Subtracting a constant preserves order in floats, so the largest
         # excess is the largest gap minus the bound.
-        widest = max(gaps)
+        widest = float(gaps.max())
         max_excess = max(max_excess, widest - bound)
-        if widest > bound + tol or min(gaps) < -tol:
+        if widest > bound + tol or gaps.min() < -tol:
             pts = curve.points[::step]
             cases.extend((level, a, b, None, bound) for a, b in zip(pts, pts[1:]))
     samples = sum(1 << level for level in range(1, curve.depth + 1))
     draft = Certificate("subsequent_dyadic_bound", None, float(tol), samples, DEFAULT_SEED,
                         data={"max_excess": max_excess if samples else None, "c": curve.c})
     return certify(draft, curve.space, bundle, cases, first, count=False)[0]
+
+
+def _stored_times(curve, bundle):
+    """T of every stored point as one array: f of the lab-time column of a
+    flat curve, or each vertex's time, kept exact as an object array."""
+    if curve.space.is_discrete:
+        return np.array([bundle.time(x) for x in curve.points], dtype=object)
+    return _each(bundle.f, curve.point_array[:, 0])
 
 
 @predicate("subsequent_dyadic_bound")
@@ -496,9 +566,8 @@ def check_realizer(curve: DyadicCurve, sample_budget: int = 200,
             target = (t2 - t1) * tau_pq
             slack = 2 * trunc * tau_pq + tol
             cases.append(("speed", g1, g2, None, target - slack, target + slack))
-    # The tau-length of the deepest stored partition.
-    pts = curve.points
-    length = sum((float(space.tau(a, b)) for a, b in zip(pts, pts[1:])), 0.0)
+    # The tau-length of the deepest stored partition, one sum in order.
+    length = sum(_adjacent_taus(curve), 0.0)
     if approximate:
         cases.append(("length", curve.p, curve.q, length, tau_pq - eps - tol, None))
     draft = Certificate("realizer", None, tol, len(pairs), seed)
@@ -509,6 +578,19 @@ def check_realizer(curve: DyadicCurve, sample_budget: int = 200,
                                "tau_length": length,
                                "sandwich_slack": 2 * trunc * tau_pq,
                                "mode": curve.mode})
+
+
+def _adjacent_taus(curve):
+    """tau of each deepest adjacent pair of stored points, in order, as floats.
+    A flat curve's rows go in blocks, which keeps the lists of floats small."""
+    space, pts = curve.space, curve.points
+    if space.is_discrete:
+        yield from (float(space.tau(a, b)) for a, b in zip(pts, pts[1:]))
+        return
+    rows = curve.point_array
+    for start in range(0, len(rows) - 1, _BLOCK):
+        block = rows[start:start + _BLOCK + 1]
+        yield from space.tau_rows(block[:-1], block[1:]).tolist()
 
 
 @predicate("realizer")

@@ -15,13 +15,15 @@ midpoint (p+q)/2 (:func:`affine_midpoint`), which is the unique exact
 tau-midpoint there, rejected when it falls on a removed point; in the
 approximate case, one closed-form candidate on the lens's level of T
 nearest (T(p)+T(q))/2, in the p-q plane, with the affine midpoint as the
-fallback.  There is one search,
-:func:`_search_with_taus`, behind :func:`find_midpoint`, the dyadic build
-and the compatibility certificate, which drops the strip filter and reads
-the best constant off the selected point.  Given tau(p,q), the search
-evaluates each candidate's two half-separations once and returns those of
-the point it selects; the dyadic build passes them on as the parent tau of
-the next level's searches, so no adjacent tau is evaluated twice.
+fallback.  There is one search, :func:`_search_with_taus`, behind
+:func:`find_midpoint`, the dyadic build and the compatibility certificate,
+which drops the strip filter and reads the best constant off the selected
+point.  Its flat branch is :func:`_flat_search`, which takes many pairs as
+the rows of two arrays: a single query is one row, and the dyadic build
+refines a whole level in one call.  Given tau(p,q), the search evaluates
+each candidate's two half-separations once and returns those of the point
+it selects; the dyadic build passes them on as the parent tau of the next
+level's searches, so no adjacent tau is evaluated twice.
 """
 
 from __future__ import annotations
@@ -29,8 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .core import (Certificate, DEFAULT_SEED, PiecewiseCausalCurve, Space,
-                   TimeFunctionBundle, certify, make_rng, predicate, resolve_tol)
+                   TimeFunctionBundle, certify, coordinate_time, make_rng, predicate,
+                   resolve_tol)
 from .errors import (CurveTooShort, DegenerateStrip, MidpointBoundsViolated,
                      NotARealizer, NotChronological, UnsupportedBackend)
 from .spaces import PlaneFrame
@@ -77,11 +82,12 @@ def affine_midpoint(p, q):
 
 
 def _halves_within(half, tau_py, tau_yq, epsilon, tol):
-    """The midpoint inequalities for ``half = tau(p,q)/2`` and the two halves."""
+    """The midpoint inequalities for ``half = tau(p,q)/2`` and the two halves,
+    on numbers or elementwise on arrays."""
     left, right = abs(tau_py - half), abs(tau_yq - half)
     if epsilon == 0:
-        return left <= tol and right <= tol
-    return left < epsilon and right < epsilon
+        return (left <= tol) & (right <= tol)
+    return (left < epsilon) & (right < epsilon)
 
 
 class LensStrip:
@@ -184,89 +190,160 @@ def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
     the halves on every backend (:func:`resolve_tol` makes it 0 on discrete ones).
 
     Returns ``(y, tau(p, y), tau(y, q))`` for the selected point y, or None;
-    each candidate's two half-separations are evaluated once and reused, so
     a caller that refines the pair again needs no further tau.
 
-    Selection rule: minimize |T(y) - (T(p)+T(q))/2|, ties broken by smallest
-    vertex id on discrete backends, where T is the stored vertex times and
-    the set's own integer scan decides
+    Selection rule: minimize |T(y) - (T(p)+T(q))/2|.  On discrete backends
+    ties go to the smallest vertex id, T is the stored vertex times and the
+    set's own integer scan decides
     (:meth:`~causalgeo.spaces.CausalSetSpace.midpoint_scan`); a bundle with
-    other times raises UnsupportedBackend.  On flat ones with eps > 0 the bundle's
-    T = f(t) increases with t, so the rule picks a level: t* = f^-1(T_center),
-    clamped to the lens's lab times
-    t_p + reach .. t_q - reach, moved inward by tol or, in a narrower window,
-    a quarter of its width, with reach the vertex r = tau/2 - eps or the
-    corner dt/2 - sinh|phi| sqrt(eps (tau - eps)) of the p-arc, as in
-    :func:`lens_in_strip_epsilon`.  The lens is {tau(p,.) > r} & {tau(.,q) > r}
-    (the upper bounds follow from the reverse triangle inequality); both are
-    convex and the lens is symmetric under reflection in the p-q plane, so a
-    level meets the lens iff it meets it in that plane, in the interval
-    (max(-r_p, D - r_q), min(r_p, D + r_q)), r_p = sqrt((t - t_p)^2 - r^2),
-    D = |x_q - x_p|.  The candidate is the level's point of segment p-q held
-    to the middle half of the interval; one within a rounding guard
-    max(tol, 1e-12) of a removed point halves its distance to the lower end.
-    At eps >= tau/2, r = 0 and the interval is the causal diamond's, inside
-    the lens.  The affine midpoint comes first when T((p+q)/2) == T_center,
-    as for coordinate time, and last otherwise, for a lens so thin that
-    rounding leaves the slice point outside it.
+    other times raises UnsupportedBackend.  On flat ones the pair is a
+    one-row call of :func:`_flat_search`, the search the dyadic build runs
+    on a whole level at once.
     """
     if space.is_discrete:
         if bundle.time != space.time_of:
             raise UnsupportedBackend("a causal set's midpoints are those of its stored times")
         return space.midpoint_scan(p, q, eps, c, tol)
-    t_center = (bundle.time(p) + bundle.time(q)) / 2
-    half = tau_pq / 2
+    ys, tau_py, tau_yq, found = _flat_search(space, bundle, np.array([p], float),
+                                             np.array([q], float), np.array([tau_pq], float),
+                                             eps, c, tol)
+    if not found[0]:
+        return None
+    return tuple(ys[0].tolist()), float(tau_py[0]), float(tau_yq[0])
 
-    def in_strip(y):
-        return c is None or _strip_margin(bundle, p, q, y) >= c - tol
 
-    def feasible(y):
-        """``(y, tau(p, y), tau(y, q))`` when y is in the universe, the lens
-        and the strip, else None."""
-        if not space.contains(y):
-            return None
-        left, right = space.tau(p, y), space.tau(y, q)
-        if not (_halves_within(half, left, right, eps, tol) and in_strip(y)):
-            return None
-        return y, left, right
+def _flat_search(space, bundle, xs, zs, tau_xz, eps, c, tol):
+    """The flat midpoint search for every row pair xs[k] -> zs[k] of two
+    (k, 1+n) float arrays at once, given their tau as the array ``tau_xz``;
+    ``eps``, ``c`` and ``tol`` are those of :func:`_search_with_taus`.
 
-    exact = affine_midpoint(p, q)
+    Returns ``(ys, tau(xs, ys), tau(ys, zs), found)``: per row the selected
+    point and its two half-separations, and whether there is one.  A
+    collapsed row (xs[k] == zs[k]) keeps its parent with zero halves and
+    counts as found; a row whose parents are not chronological does not.
+
+    A candidate is admissible when it is not within a rounding guard
+    max(tol, 1e-12) of a removed point (so in the universe), both halves
+    hold (within eps, or within tol at eps = 0) and its strip margin is at
+    least c - tol.  At eps = 0 the one candidate is the affine midpoint
+    (x+z)/2, the unique exact tau-midpoint on flat space.  At eps > 0 the
+    bundle's T = f(t) increases with t, so the rule picks a level:
+    t* = f^-1(T_center), clamped to the lens's lab times
+    t_x + reach .. t_z - reach, moved inward by tol or, in a narrower window,
+    a quarter of its width, with reach the vertex r = tau/2 - eps or the
+    corner dt/2 - sinh|phi| sqrt(eps (tau - eps)) of the x-arc, as in
+    :func:`lens_in_strip_epsilon`.  The lens is {tau(x,.) > r} & {tau(.,z) > r}
+    (the upper bounds follow from the reverse triangle inequality); both are
+    convex and the lens is symmetric under reflection in the x-z plane, so a
+    level meets the lens iff it meets it in that plane, in the interval
+    (max(-r_x, D - r_z), min(r_x, D + r_z)), r_x = sqrt((t - t_x)^2 - r^2),
+    D = |x_z - x_x|.  The candidate is the level's point of segment x-z held
+    to the middle half of the interval; one within the guard of a removed
+    point halves its distance to the lower end.  At eps >= tau/2, r = 0 and
+    the interval is the causal diamond's, inside the lens.  The affine
+    midpoint comes first when T((x+z)/2) == T_center, as for coordinate
+    time, and last otherwise, for a lens so thin that rounding leaves the
+    slice point outside it.
+
+    Each row gets the bits the same steps give one pair in Python floats:
+    numpy's arithmetic, sqrt and comparisons are IEEE's, min and max are
+    the builtins' (:func:`_min`, :func:`_max`), and the norms
+    (:meth:`~causalgeo.spaces.MinkowskiSpace.delta_rows`), f, f^-1 and the
+    squares (:func:`_each`) are the scalar functions mapped over the rows,
+    as numpy's own hypot and power round differently.
+    """
+    f = bundle.f
+    t_x, t_z = _each(f, xs[:, 0]), _each(f, zs[:, 0])
+    half = tau_xz / 2
     guard = max(tol, 1e-12)
+    exact = (xs + zs) / 2
+    ys, tau_xy, tau_yz = xs.copy(), np.zeros(len(xs)), np.zeros(len(xs))
+    found = (xs == zs).all(axis=1)
+    dt, span = space.delta_rows(xs, zs)
+    rows = np.flatnonzero(~found & (dt > span))
 
-    def near_removed(y):
-        """Whether y lies within a rounding guard of a removed point."""
-        return any(max(abs(a - b) for a, b in zip(y, rp)) <= guard for rp in space.removed)
-
-    def admissible(y):
-        return None if near_removed(y) else feasible(y)
+    def admit(at, candidates):
+        """Keep the candidate of each row ``at`` lists where it is admissible."""
+        # The guard is positive, so it also keeps out the removed points
+        # themselves, which is all that `contains` rejects on flat space.
+        keep = ~_near_removed(space, candidates, guard)
+        at, candidates = at[keep], candidates[keep]
+        left, right = space.tau_rows(xs[at], candidates), space.tau_rows(candidates, zs[at])
+        ok = _halves_within(half[at], left, right, eps, tol)
+        if c is not None:
+            ok &= _strip_margins(t_x[at], t_z[at], _each(f, candidates[:, 0])) >= c - tol
+        at = at[ok]
+        ys[at], tau_xy[at], tau_yz[at], found[at] = candidates[ok], left[ok], right[ok], True
 
     if eps == 0:
-        # The exact solution is unique on flat backends.
-        return admissible(exact)
-    exact_first = bundle.time(exact) == t_center
-    found = admissible(exact) if exact_first else None
-    if found is not None:
-        return found
+        admit(rows, exact[rows])
+        return ys, tau_xy, tau_yz, found
+    t_center = (t_x + t_z) / 2
+    exact_first = _each(f, exact[:, 0]) == t_center
+    first = rows[exact_first[rows]]
+    admit(first, exact[first])
+    rows = rows[~found[rows]]
 
-    frame = PlaneFrame(p, q)
-    tp, tq, span = p[0], q[0], frame.span
-    r = max(half - eps, 0.0)
-    h, s = math.sqrt(half * half - r * r), span / tau_pq
-    reach = r if s * r <= h else (tq - tp) / 2 - s * h
-    inset = min(tol, (tq - tp - 2 * reach) / 4)
-    t = min(max(bundle.f_inverse(t_center), tp + reach + inset), tq - reach - inset)
-    r_p = math.sqrt(max((t - tp) ** 2 - r * r, 0.0))
-    r_q = math.sqrt(max((tq - t) ** 2 - r * r, 0.0))
-    lo, hi = max(-r_p, span - r_q), min(r_p, span + r_q)
-    x = min(max(span * (t - tp) / (tq - tp), lo + (hi - lo) / 4), hi - (hi - lo) / 4)
-    y = frame.embed(t, x)
-    if near_removed(y):
-        y = frame.embed(t, (lo + x) / 2)
-    found = admissible(y)
-    if found is None and not exact_first:
-        # A lens narrower than rounding can leave the slice point outside it.
-        found = admissible(exact)
-    return found
+    x, z, d, h_tau = xs[rows], zs[rows], span[rows], half[rows]
+    t_lo, t_hi = x[:, 0], z[:, 0]
+    r = _max(h_tau - eps, 0.0)
+    h, s = np.sqrt(h_tau * h_tau - r * r), d / tau_xz[rows]
+    reach = np.where(s * r <= h, r, (t_hi - t_lo) / 2 - s * h)
+    inset = _min(tol, (t_hi - t_lo - 2 * reach) / 4)
+    t = _min(_max(_each(bundle.f_inverse, t_center[rows]), t_lo + reach + inset),
+             t_hi - reach - inset)
+    r_x = np.sqrt(_max(_each(_squared, t - t_lo) - r * r, 0.0))
+    r_z = np.sqrt(_max(_each(_squared, t_hi - t) - r * r, 0.0))
+    lo, hi = _max(-r_x, d - r_z), _min(r_x, d + r_z)
+    along = _min(_max(d * (t - t_lo) / (t_hi - t_lo), lo + (hi - lo) / 4), hi - (hi - lo) / 4)
+    candidates = PlaneFrame.embed_rows(x, z, d, t, along)
+    near = _near_removed(space, candidates, guard)
+    if near.any():
+        candidates = PlaneFrame.embed_rows(x, z, d, t, np.where(near, (lo + along) / 2, along))
+    admit(rows, candidates)
+    # A lens narrower than rounding can leave the slice point outside it.
+    late = rows[~found[rows] & ~exact_first[rows]]
+    admit(late, exact[late])
+    return ys, tau_xy, tau_yz, found
+
+
+def _each(fn, column):
+    """fn of each entry of a float array, through the scalar function itself
+    (the identity, coordinate time, returns the array)."""
+    if fn is coordinate_time:
+        return column
+    return np.fromiter(map(fn, column.tolist()), float, len(column))
+
+
+def _squared(value):
+    # Python's ** calls libm pow, which need not round as value * value does.
+    return value ** 2
+
+
+def _min(a, b):
+    """The builtin min(a, b) elementwise: b where b < a, else a."""
+    return np.where(b < a, b, a)
+
+
+def _max(a, b):
+    """The builtin max(a, b) elementwise: b where b > a, else a."""
+    return np.where(b > a, b, a)
+
+
+def _near_removed(space, ys, guard):
+    """Which rows of ys lie within ``guard`` of a removed point in every coordinate."""
+    near = np.zeros(len(ys), bool)
+    for removed in space.removed:
+        near |= np.abs(ys - removed).max(axis=1) <= guard
+    return near
+
+
+def _strip_margins(t_x, t_z, t_y):
+    """:func:`_strip_margin` of each row, from the three time arrays."""
+    gap = t_z - t_x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = (t_y - t_x) / gap
+    return np.where(gap > 0, _min(u, 1 - u), 0.0)
 
 
 def find_midpoint(space: Space, bundle: TimeFunctionBundle, query: MidpointQuery,

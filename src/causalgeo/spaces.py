@@ -25,8 +25,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
+import numpy as np
+
 from .core import (AntiLipschitzWitness, FlatTimeBundle, Space, TimeFunctionBundle,
-                   atomic_write, coordinate_time, csv_rows, csv_text, json_text)
+                   atomic_write, coordinate_time, csv_rows, csv_text, json_chunks)
 from .errors import BudgetExceeded, NotComplete
 
 
@@ -66,6 +68,18 @@ class MinkowskiSpace(Space):
         if dt < dx:
             return 0.0
         return math.sqrt(max(dt * dt - dx * dx, 0.0))
+
+    def delta_rows(self, xs, ys):
+        """``_delta`` of each row pair xs[k] -> ys[k] of two (k, 1+n) float
+        arrays, bit for bit: ``math.hypot`` of a row's differences is the
+        norm ``math.dist`` takes, and numpy subtracts as Python does."""
+        dx = map(math.hypot, *(ys[:, 1:] - xs[:, 1:]).T.tolist())
+        return ys[:, 0] - xs[:, 0], np.fromiter(dx, float, len(xs))
+
+    def tau_rows(self, xs, ys):
+        """``tau`` of each row pair xs[k] -> ys[k], as an array."""
+        dt, dx = self.delta_rows(xs, ys)
+        return np.where(dt < dx, 0.0, np.sqrt(np.maximum(dt * dt - dx * dx, 0.0)))
 
     def interpolate(self, x, y, s):
         return tuple(a + s * (b - a) for a, b in zip(x, y))
@@ -139,6 +153,18 @@ class PlaneFrame:
     def embed(self, t, s):
         return (t, *(a + s * u for a, u in zip(self.base[1:], self.unit)))
 
+    @staticmethod
+    def embed_rows(ps, qs, span, t, s):
+        """``PlaneFrame(p, q).embed(t, s)`` for each row pair of two (k, 1+n)
+        arrays, bit for bit, given their spans as :meth:`MinkowskiSpace.delta_rows`
+        returns them."""
+        unit = (qs[:, 1:] - ps[:, 1:]) / np.where(span == 0.0, 1.0, span)[:, None]
+        unit[span == 0.0] = np.eye(1, unit.shape[1])
+        out = np.empty_like(ps)
+        out[:, 0] = t
+        out[:, 1:] = ps[:, 1:] + s[:, None] * unit
+        return out
+
 
 class PuncturedMinkowski(MinkowskiSpace):
     """Minkowski space with a finite set of points removed from the universe.
@@ -162,6 +188,15 @@ class PuncturedMinkowski(MinkowskiSpace):
             if not self.contains(p):
                 raise ValueError(f"{p} has been removed from the universe")
         return super()._delta(x, y)
+
+    def delta_rows(self, xs, ys):
+        # tau_rows reads its rows through here, as tau reads a pair through _delta.
+        for rows in (xs, ys):
+            for removed in self.removed:
+                hit = np.flatnonzero((rows == removed).all(axis=1))
+                if hit.size:
+                    raise ValueError(f"{removed} has been removed from the universe")
+        return super().delta_rows(xs, ys)
 
     def limit_point(self, points):
         limit = super().limit_point(points)
@@ -647,8 +682,6 @@ def sprinkle_causet(diamond_corners, density: float, seed: int) -> CausalSetSpac
                              f"{density * area:g} points, over the limit of "
                              f"{MAX_SPRINKLE_POINTS}")
 
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(density * area))
     us = rng.uniform(u_lo, u_hi, size=n)
@@ -676,8 +709,6 @@ def _links(pts):
     operations of MinkowskiSpace.causal_le, so every pair is decided exactly
     as that call decides it.
     """
-    import numpy as np
-
     t = np.array([pt[0] for pt in pts])
     x = np.array([pt[1] for pt in pts])
     for i in range(len(pts)):
@@ -711,7 +742,7 @@ def save_causet_json(space: CausalSetSpace, path):
         "edges": [{"src": s, "dst": d, "tau": _encode_rational(w)}
                   for s, d, w in space.edges],
     }
-    atomic_write(path, json_text(payload))
+    atomic_write(path, json_chunks(payload))
 
 
 def load_causet_json(path) -> CausalSetSpace:

@@ -67,6 +67,25 @@ def cubic_bundle(cubic_mink):
     return cubic_time_bundle(cubic_mink, half_width=0.5)
 
 
+def count_tau_evaluations(monkeypatch):
+    """Count flat tau evaluations, one per pair of ``MinkowskiSpace.tau`` and
+    one per row of ``MinkowskiSpace.tau_rows``; returns the growing list."""
+    calls = []
+    plain, rows = MinkowskiSpace.tau, MinkowskiSpace.tau_rows
+
+    def counted(self, x, y):
+        calls.append(None)
+        return plain(self, x, y)
+
+    def counted_rows(self, xs, ys):
+        calls.extend([None] * len(xs))
+        return rows(self, xs, ys)
+
+    monkeypatch.setattr(MinkowskiSpace, "tau", counted)
+    monkeypatch.setattr(MinkowskiSpace, "tau_rows", counted_rows)
+    return calls
+
+
 class TauOverride:
     """Delegating wrapper that corrupts tau on chosen pairs (test defects)."""
 

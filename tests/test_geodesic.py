@@ -12,10 +12,12 @@ from causalgeo import (CausalSetSpace, DyadicCurve, MinkowskiSpace, PuncturedMin
                        check_causal_extension, check_holder, check_realizer,
                        check_subsequent_bound, extend_curve, is_eps_tau_midpoint,
                        replay, synthesize_geodesic)
-from causalgeo.errors import (BudgetExceeded, CauchyBudget, MidpointUnavailable,
-                              NotChronological, NotComplete)
+from causalgeo import geodesic
+from causalgeo.errors import (BudgetExceeded, CauchyBudget, CausalGeoError,
+                              MidpointUnavailable, NotChronological, NotComplete)
 from causalgeo.geodesic import MAX_DEPTH, _null_branch_curve
 from causalgeo.midpoints import affine_midpoint
+from conftest import count_tau_evaluations
 
 P, Q = (0.0, 0.0), (2.0, 0.0)
 
@@ -84,6 +86,54 @@ class TestBuild:
                 child = curve.point_at(Fraction(k, denom))
                 assert is_eps_tau_midpoint(punctured, parents[0], parents[1],
                                            child, level_eps)
+
+    @pytest.mark.parametrize("removed, pair", [
+        ([(1.5, 0.0)], ((1.0, 0.0), Q)),
+        ([(1.5, 0.0), (0.5, 0.0)], (P, (1.0, 0.0))),
+    ])
+    def test_first_pair_without_a_midpoint_is_named(self, removed, pair):
+        space = PuncturedMinkowski(1, removed=removed)
+        with pytest.raises(MidpointUnavailable, match="no exact midpoint") as err:
+            build_dyadic_curve(space, canonical_time_bundle(space), P, Q, c=0.5, depth=4)
+        assert (err.value.level, err.value.pair) == (2, pair)
+
+    def test_parents_out_of_chronological_order_are_named(self, mink, mink_bundle,
+                                                          monkeypatch):
+        def shifted(space, bundle, xs, *rest):
+            # Level 1: the midpoint moves far off in space.
+            ys, left, right, found = plain(space, bundle, xs, *rest)
+            ys[:, 1] += 10.0 * (len(xs) == 1)
+            return ys, left, right, found
+
+        plain = geodesic._flat_search
+        monkeypatch.setattr(geodesic, "_flat_search", shifted)
+        with pytest.raises(MidpointUnavailable, match="lost chronological order") as err:
+            build_dyadic_curve(mink, mink_bundle, P, Q, c=0.5, depth=3)
+        assert (err.value.level, err.value.pair) == (2, (P, (1.0, 10.0)))
+
+    @staticmethod
+    def _double_left_halves(monkeypatch, rows):
+        """Make the search report twice tau(x, m) on the level of ``rows`` pairs."""
+        def doubled(space, bundle, xs, *rest):
+            ys, left, right, found = plain(space, bundle, xs, *rest)
+            return ys, left * (1 + (len(xs) == rows)), right, found
+
+        plain = geodesic._flat_search
+        monkeypatch.setattr(geodesic, "_flat_search", doubled)
+
+    def test_broken_invariant_is_raised_once_every_level_is_built(self, mink, mink_bundle,
+                                                                  monkeypatch):
+        self._double_left_halves(monkeypatch, 4)
+        with pytest.raises(CausalGeoError, match=r"level 3 pair 0\.\.1/8: tau .* drifted"):
+            build_dyadic_curve(mink, mink_bundle, P, Q, c=0.5, depth=3)
+
+    def test_deeper_missing_midpoint_outranks_a_broken_invariant(self, mink, mink_bundle,
+                                                                 monkeypatch):
+        # The doubled tau at level 2 is the parent tau of level 3's searches.
+        self._double_left_halves(monkeypatch, 2)
+        with pytest.raises(MidpointUnavailable) as err:
+            build_dyadic_curve(mink, mink_bundle, P, Q, c=0.5, depth=3)
+        assert (err.value.level, err.value.pair) == (3, (P, (0.5, 0.0)))
 
     def test_chain_causet_supports_two_levels(self):
         space = chain_space(4)
@@ -398,14 +448,7 @@ class TestStreamedJson:
 
 class TestTauBudget:
     def test_each_adjacent_tau_is_evaluated_once(self, monkeypatch):
-        calls = []
-        plain = MinkowskiSpace.tau
-
-        def counted(self, x, y):
-            calls.append(None)
-            return plain(self, x, y)
-
-        monkeypatch.setattr(MinkowskiSpace, "tau", counted)
+        calls = count_tau_evaluations(monkeypatch)
         space = MinkowskiSpace(2)
         depth = 10
         build_dyadic_curve(space, canonical_time_bundle(space), (0.0, 0.0, 0.0),

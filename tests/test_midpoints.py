@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -17,7 +18,9 @@ from causalgeo.core import make_rng
 from causalgeo.errors import (CurveTooShort, DegenerateStrip,
                               MidpointBoundsViolated, NotARealizer,
                               NotChronological, UnsupportedBackend)
-from causalgeo.midpoints import _search_with_taus, _strip_margin, affine_midpoint
+from causalgeo.midpoints import _flat_search, _search_with_taus, _strip_margin, affine_midpoint
+from causalgeo.spaces import PlaneFrame
+from conftest import count_tau_evaluations
 
 P, Q = (0.0, 0.0), (2.0, 0.0)
 
@@ -129,17 +132,10 @@ class TestFlatSearchMisses:
         # The slice point and one step off a removed point, two halves each.
         space, bundle, p, q, eps_hat, c, _ = case()
         tau_pq = space.tau(p, q)
-        calls = []
-        plain = MinkowskiSpace.tau
-
-        def counted(self, x, y):
-            calls.append(None)
-            return plain(self, x, y)
-
-        monkeypatch.setattr(MinkowskiSpace, "tau", counted)
+        calls = count_tau_evaluations(monkeypatch)
         assert _search_with_taus(space, bundle, p, q, tau_pq * eps_hat, c, 1e-9,
                                  tau_pq) is not None
-        assert len(calls) <= 4
+        assert 0 < len(calls) <= 4
 
 
 @st.composite
@@ -583,3 +579,145 @@ class TestClosedFormMidpoint:
         scale = max(1.0, *map(abs, p), *map(abs, q))
         assert all(abs(mi - (pi + qi) / 2) <= 1e-12 * scale
                    for pi, qi, mi in zip(p, q, m))
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def flat_level_cases(draw):
+    """Chronological pairs sharing one flat space, bundle, eps and c: in 1+1
+    to 1+3, with coordinate time or t^3, at eps = 0 or eps > 0 (a fraction
+    of the smallest tau), and on a punctured space whose removed points are
+    the affine midpoints of every other pair."""
+    dim = draw(st.integers(1, 3))
+    pairs = []
+    for _ in range(draw(st.integers(1, 24))):
+        p = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(1 + dim))
+        dx = [draw(st.floats(-2.0, 2.0)) for _ in range(dim)]
+        dt = math.hypot(*dx) + draw(st.floats(0.01, 2.0))
+        pairs.append((p, (p[0] + dt, *(a + d for a, d in zip(p[1:], dx)))))
+    if draw(st.booleans()):
+        space = PuncturedMinkowski(dim, removed=[affine_midpoint(p, q) for p, q in pairs[::2]])
+    else:
+        space = MinkowskiSpace(dim)
+    bundle = draw(st.sampled_from([canonical_time_bundle, cubic_time_bundle]))(space)
+    pairs = [(p, q) for p, q in pairs if space.chronological(p, q)]
+    assume(pairs)
+    eps_hat = draw(st.sampled_from([0.0, 1e-12, 0.01, 0.2, 0.6]))
+    eps = eps_hat * min(space.tau(p, q) for p, q in pairs)
+    return space, bundle, pairs, eps, draw(st.sampled_from([None, 0.2, 0.45]))
+
+
+def _scalar_search(space, bundle, p, q, eps, c, tol, tau_pq):
+    """The flat search of one pair step by step in Python floats, as its
+    docstring states it: an independent reference for the row-wise one."""
+    t_center, half = (bundle.time(p) + bundle.time(q)) / 2, tau_pq / 2
+    guard = max(tol, 1e-12)
+
+    def admissible(y):
+        if any(max(abs(a - b) for a, b in zip(y, rp)) <= guard for rp in space.removed):
+            return None
+        left, right = space.tau(p, y), space.tau(y, q)
+        if eps == 0:
+            halves = abs(left - half) <= tol and abs(right - half) <= tol
+        else:
+            halves = abs(left - half) < eps and abs(right - half) < eps
+        if halves and (c is None or _strip_margin(bundle, p, q, y) >= c - tol):
+            return y, left, right
+        return None
+
+    exact = affine_midpoint(p, q)
+    if eps == 0:
+        return admissible(exact)
+    exact_first = bundle.time(exact) == t_center
+    found = admissible(exact) if exact_first else None
+    if found is not None:
+        return found
+    frame = PlaneFrame(p, q)
+    tp, tq, span = p[0], q[0], frame.span
+    r = max(half - eps, 0.0)
+    h, s = math.sqrt(half * half - r * r), span / tau_pq
+    reach = r if s * r <= h else (tq - tp) / 2 - s * h
+    inset = min(tol, (tq - tp - 2 * reach) / 4)
+    t = min(max(bundle.f_inverse(t_center), tp + reach + inset), tq - reach - inset)
+    r_p = math.sqrt(max((t - tp) ** 2 - r * r, 0.0))
+    r_q = math.sqrt(max((tq - t) ** 2 - r * r, 0.0))
+    lo, hi = max(-r_p, span - r_q), min(r_p, span + r_q)
+    x = min(max(span * (t - tp) / (tq - tp), lo + (hi - lo) / 4), hi - (hi - lo) / 4)
+    y = frame.embed(t, x)
+    if any(max(abs(a - b) for a, b in zip(y, rp)) <= guard for rp in space.removed):
+        y = frame.embed(t, (lo + x) / 2)
+    found = admissible(y)
+    if found is None and not exact_first:
+        found = admissible(exact)
+    return found
+
+
+class TestFlatSearchRows:
+    """The flat search takes many pairs as the rows of two arrays; each row
+    must give the bits of a one-row call and of the scalar reference."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(flat_level_cases())
+    def test_each_row_equals_its_one_row_call(self, case):
+        space, bundle, pairs, eps, c = case
+        xs, zs = np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])
+        taus = np.array([space.tau(p, q) for p, q in pairs])
+        ys, left, right, found = _flat_search(space, bundle, xs, zs, taus, eps, c, 1e-9)
+        for k, (p, q) in enumerate(pairs):
+            tau_pq = space.tau(p, q)
+            one = _search_with_taus(space, bundle, p, q, eps, c, 1e-9, tau_pq)
+            reference = _scalar_search(space, bundle, p, q, eps, c, 1e-9, tau_pq)
+            assert found[k] == (one is not None) == (reference is not None)
+            if one is not None:
+                assert (_bits([*ys[k], left[k], right[k]]) == _bits([*one[0], *one[1:]])
+                        == _bits([*reference[0], *reference[1:]]))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_many_slice_rows_follow_the_scalar_reference(self, dim):
+        # With T = t^3 nearly every approximate query takes the level slice.
+        # Pairs of tau about 1 are boosted up to rapidity 3; rounding
+        # differences between the steps (libm's pow against x * x, say)
+        # show on a few of them in a thousand.
+        rng = make_rng(31 + dim)
+        xs = rng.uniform(-2, 2, size=(1500, 1 + dim))
+        rapidity = rng.uniform(0, 3, size=1500)
+        direction = rng.normal(size=(1500, dim))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        zs = xs + np.column_stack((np.cosh(rapidity), np.sinh(rapidity)[:, None] * direction))
+        space = MinkowskiSpace(dim)
+        bundle = cubic_time_bundle(space)
+        taus = space.tau_rows(xs, zs)
+        for eps, c in ((0.02, None), (0.2, 0.3), (0.7, 0.45)):
+            ys, left, right, found = _flat_search(space, bundle, xs, zs, taus, eps, c, 1e-9)
+            for k, (p, q) in enumerate(zip(map(tuple, xs.tolist()), map(tuple, zs.tolist()))):
+                reference = _scalar_search(space, bundle, p, q, eps, c, 1e-9, taus[k].item())
+                assert found[k] == (reference is not None)
+                if reference is not None:
+                    assert (_bits([*ys[k], left[k], right[k]])
+                            == _bits([*reference[0], *reference[1:]]))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_row_tau_and_plane_are_the_scalar_ones(self, dim):
+        # numpy's hypot, or a square root of a sum of squares, differs from
+        # math.dist in the last bit on some of these rows.
+        rng = make_rng(29)
+        xs, zs = rng.uniform(-3, 3, size=(2, 20000, 1 + dim))
+        zs[:10000, 0] = xs[:10000, 0] + 3 + rng.uniform(0, 3, size=10000)
+        space = PuncturedMinkowski(dim, removed=[(9.0,) * (1 + dim)])
+        taus = space.tau_rows(xs, zs)
+        pairs = [(tuple(x), tuple(z)) for x, z in zip(xs.tolist(), zs.tolist())]
+        assert _bits(taus) == _bits(space.tau(x, z) for x, z in pairs)
+        assert (taus > 0).sum() > 5000
+        t, along = rng.uniform(-3, 3, size=(2, 20000))
+        embedded = PlaneFrame.embed_rows(xs, zs, space.delta_rows(xs, zs)[1], t, along)
+        assert all(_bits(row) == _bits(PlaneFrame(x, z).embed(tk, sk))
+                   for row, (x, z), tk, sk in zip(embedded, pairs, t.tolist(), along.tolist()))
+
+    def test_row_tau_refuses_a_removed_point(self):
+        space = PuncturedMinkowski(1, removed=[(1.0, 0.0)])
+        with pytest.raises(ValueError, match="removed"):
+            space.tau_rows(np.array([[0.0, 0.0], [0.0, 0.0]]),
+                           np.array([[2.0, 0.0], [1.0, 0.0]]))

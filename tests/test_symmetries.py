@@ -1,12 +1,14 @@
 """Symmetry oracles on flat backends, for both flat time functions, and on
 causal sets.
 
-Negating one spatial coordinate is an isometry that both time functions
-ignore, and every formula on flat space reads spatial offsets only through
-differences and norms, so tau, d_T and the midpoint search must commute with
-it bit for bit.  Dilation by 2 is exact in floats, and with T = t every
-formula is homogeneous of degree one, so d_T and the exact midpoint double
-bit for bit.  Time reversal t -> -t swaps the causal order; both f(t) = t
+Negating one spatial coordinate and permuting the spatial coordinates are
+isometries that both time functions ignore, and every formula on flat space
+reads spatial offsets only through differences and norms (``math.hypot``,
+whose bits do not depend on the order of its arguments), so tau, d_T, the
+midpoint search and the dyadic build must commute with them bit for bit.
+Dilation by 2 is exact in floats, and with T = t every formula is
+homogeneous of degree one, so d_T and the exact midpoint double bit for
+bit.  Time reversal t -> -t swaps the causal order; both f(t) = t
 and f(t) = t^3 are odd, so tau(p, q) and d_T(p, q) must equal their values
 on the reversed pair (-q, -p), up to rounding.
 
@@ -16,14 +18,15 @@ negating every time gives the reversed set, whose tau(y, x) is tau(x, y)
 |dT| graph is the same; renaming the vertices changes neither.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from causalgeo import (CausalSetSpace, MidpointQuery, MinkowskiSpace, canonical_time_bundle,
-                       causet_time_bundle, cubic_time_bundle, find_midpoint, null_distance,
-                       sprinkle_causet)
+from causalgeo import (CausalSetSpace, MidpointQuery, MinkowskiSpace, build_dyadic_curve,
+                       canonical_time_bundle, causet_time_bundle, cubic_time_bundle,
+                       find_midpoint, null_distance, sprinkle_causet)
 from causalgeo.core import make_rng
 from causalgeo.errors import NotConnected
 from conftest import weighted_dags
@@ -66,6 +69,46 @@ def test_spatial_reflection_is_exact(dim, make):
                 assert my == (None if y is None else _mirror(y, axis))
                 found += y is not None
         assert found > len(chronological)
+
+
+def _permute(x, order):
+    return (x[0], *(x[1 + i] for i in order))
+
+
+PERMUTATION_CASES = [(dim, make) for dim in (2, 3)
+                     for make in (canonical_time_bundle, cubic_time_bundle)]
+
+
+@pytest.mark.parametrize("dim, make", PERMUTATION_CASES,
+                         ids=[f"1+{dim}-{make.__name__}" for dim, make in PERMUTATION_CASES])
+def test_spatial_permutation_is_exact(dim, make):
+    space, bundle, pairs, chronological = _setup(dim, make)
+    orders = list(itertools.permutations(range(dim)))[1:]
+    for order in orders:
+        for p, q in pairs + chronological:
+            pp, pq = _permute(p, order), _permute(q, order)
+            assert space.tau(pp, pq) == space.tau(p, q)
+            assert (null_distance(space, bundle, pp, pq).value
+                    == null_distance(space, bundle, p, q).value)
+        found = 0
+        for p, q in chronological:
+            pp, pq = _permute(p, order), _permute(q, order)
+            for query in (dict(c=0.1), dict(c=0.1, epsilon_hat=0.2)):
+                y = find_midpoint(space, bundle, MidpointQuery(p, q, **query))
+                py = find_midpoint(space, bundle, MidpointQuery(pp, pq, **query))
+                assert repr(py) == repr(None if y is None else _permute(y, order))
+                found += y is not None
+        assert found > len(chronological)
+    # At lab times 0.5 .. 1.7 the strip of t^3 for c = 0.2 holds every
+    # exact midpoint, as it does for coordinate time.
+    p, q = (0.5, 0.1, -0.2, 0.3)[:1 + dim], (1.7, 0.4, 0.3, -0.1)[:1 + dim]
+    curves = [build_dyadic_curve(space, bundle, p, q, 0.2, 8, mode, 0.2 * space.tau(p, q))
+              for mode in ("exact", "approximate")]
+    for order in orders:
+        for curve in curves:
+            permuted = build_dyadic_curve(space, bundle, _permute(p, order), _permute(q, order),
+                                          0.2, 8, curve.mode, curve.epsilon)
+            assert repr(permuted.points) == repr([_permute(x, order) for x in curve.points])
 
 
 @pytest.mark.parametrize("dim, make", CASES, ids=IDS)
