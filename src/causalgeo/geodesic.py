@@ -44,8 +44,8 @@ from .core import (Certificate, DEFAULT_SEED, Space, TimeFunctionBundle, certify
 from .errors import (BudgetExceeded, CauchyBudget, CausalGeoError, MidpointUnavailable,
                      NotChronological)
 # find_midpoint is not called here; perfbench's tracer looks it up by this name.
-# Drop it when the tracer wraps _search_with_taus instead (ROADMAP item 1).
-from .midpoints import _each, _flat_search, _search_with_taus, find_midpoint  # noqa: F401
+# Drop it when the tracer wraps _search_rows, the level search, instead (ROADMAP item 1).
+from .midpoints import _each, _search_rows, find_midpoint  # noqa: F401
 
 EXACT = "exact"
 APPROXIMATE = "approximate"
@@ -245,11 +245,11 @@ def build_dyadic_curve(space: Space, bundle: TimeFunctionBundle, p, q, c: float,
     refining.  A depth above ``MAX_DEPTH`` raises BudgetExceeded before any
     work starts.
 
-    On a causal set the searches run pair by pair.  A flat curve is built
-    in one (2^depth + 1, 1+n) float array: each level is one row-wise
-    search (:func:`~causalgeo.midpoints._flat_search`) whose parents and
-    midpoints are strided views of it, and the curve keeps the array as
-    ``point_array``.
+    Each level is one search over its pairs
+    (:func:`~causalgeo.midpoints._search_rows`), whose parents and midpoints
+    are strided slices of the curve's points: a list of ids on a causal set,
+    and on flat space one (2^depth + 1, 1+n) float array, which the curve
+    keeps as ``point_array``.
 
     Each level keeps the tau of its adjacent pairs, in order: the search
     that inserts a midpoint m between x and z returns tau(x, m) and
@@ -276,18 +276,18 @@ def build_dyadic_curve(space: Space, bundle: TimeFunctionBundle, p, q, c: float,
     tol = resolve_tol(space, tol)
 
     denom = 1 << depth
-    if space.is_discrete:
-        points, refine = [None] * (denom + 1), _refine_pairs
-    else:
-        points, refine = np.empty((denom + 1, len(p))), _refine_rows
+    points = [None] * (denom + 1) if space.is_discrete else np.empty((denom + 1, len(p)))
     points[0], points[denom] = p, q
     taus = [tau_pq]
     broken = None
     for level in range(1, depth + 1):
         step = denom >> level
         level_eps = 0.0 if mode == EXACT else epsilon / (4 ** level)
-        taus, k = refine(space, bundle, points, step, taus, level_eps, c, tol)
-        if k is not None:
+        ms, tau_xm, tau_mz, found = _search_rows(space, bundle, points[:-1:2 * step],
+                                                 points[2 * step::2 * step], taus,
+                                                 level_eps, c, tol)
+        if not found.all():
+            k = int(np.argmin(found))
             x, z = (_stored(points, i, p, q) for i in (2 * k * step, (2 * k + 2) * step))
             if not space.chronological(x, z):
                 raise MidpointUnavailable(level, (x, z), "parents lost chronological order")
@@ -296,6 +296,9 @@ def build_dyadic_curve(space: Space, bundle: TimeFunctionBundle, p, q, c: float,
                 level, (x, z),
                 f"no {kind} midpoint in the strip for c={c}; the backend lacks "
                 "strip-compatible midpoints for this pair")
+        points[step::2 * step] = ms
+        # Exact rationals stay exact: Fractions interleave into an object array.
+        taus = np.column_stack((tau_xm, tau_mz)).ravel()
         # A midpoint missing at a deeper level outranks a broken invariant,
         # so the first broken level is only raised once every level is built.
         if broken is None:
@@ -304,41 +307,6 @@ def build_dyadic_curve(space: Space, bundle: TimeFunctionBundle, p, q, c: float,
     if broken is not None:
         raise broken
     return DyadicCurve(space, bundle, p, q, c, depth, mode, epsilon, points)
-
-
-def _refine_pairs(space, bundle, points, step, taus, eps, c, tol):
-    """Insert one level's midpoints into the list ``points`` pair by pair, as
-    the discrete search runs.  Returns the level's adjacent tau, in order,
-    and None, or None and the index of the first pair without a midpoint."""
-    level_taus = []
-    for k, tau_xz in enumerate(taus):
-        i = (2 * k + 1) * step
-        x, z = points[i - step], points[i + step]
-        if x == z:
-            # Both halves collapse too: the invariants skip them and no
-            # search reads their tau.
-            points[i] = x
-            level_taus += (0, 0)
-            continue
-        found = space.chronological(x, z) and _search_with_taus(space, bundle, x, z, eps,
-                                                                c, tol, tau_xz)
-        if not found:
-            return None, k
-        points[i], tau_xm, tau_mz = found
-        level_taus += (tau_xm, tau_mz)
-    return level_taus, None
-
-
-def _refine_rows(space, bundle, points, step, taus, eps, c, tol):
-    """:func:`_refine_pairs` for the point array of a flat curve: one
-    row-wise search over strided views of it, parents and midpoints alike."""
-    ms, tau_xm, tau_mz, found = _flat_search(space, bundle, points[:-1:2 * step],
-                                             points[2 * step::2 * step],
-                                             np.asarray(taus, float), eps, c, tol)
-    if not found.all():
-        return None, int(np.argmin(found))
-    points[step::2 * step] = ms
-    return np.column_stack((tau_xm, tau_mz)).ravel(), None
 
 
 def _stored(points, i, p, q):
@@ -357,8 +325,6 @@ def _level_invariant_error(level_points, taus, level, tau_pq, epsilon, exact, to
     target = tau_pq / (1 << level)
     floor = (tau_pq - epsilon) / (1 << level)
     drift = 4 * tol * (1 + float(tau_pq))
-    # Exact rationals stay exact: a list of Fractions becomes an object array.
-    taus = np.asarray(taus)
     off = abs(taus - target) > drift if exact else np.logical_not(taus > floor - tol)
     for k in np.flatnonzero(off).tolist():
         if np.array_equal(level_points[k], level_points[k + 1]):

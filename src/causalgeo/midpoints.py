@@ -15,15 +15,16 @@ midpoint (p+q)/2 (:func:`affine_midpoint`), which is the unique exact
 tau-midpoint there, rejected when it falls on a removed point; in the
 approximate case, one closed-form candidate on the lens's level of T
 nearest (T(p)+T(q))/2, in the p-q plane, with the affine midpoint as the
-fallback.  There is one search, :func:`_search_with_taus`, behind
-:func:`find_midpoint`, the dyadic build and the compatibility certificate,
-which drops the strip filter and reads the best constant off the selected
-point.  Its flat branch is :func:`_flat_search`, which takes many pairs as
-the rows of two arrays: a single query is one row, and the dyadic build
-refines a whole level in one call.  Given tau(p,q), the search evaluates
-each candidate's two half-separations once and returns those of the point
-it selects; the dyadic build passes them on as the parent tau of the next
-level's searches, so no adjacent tau is evaluated twice.
+fallback.  One pair goes through :func:`_search_with_taus`, behind
+:func:`find_midpoint` and the compatibility certificate, which drops the
+strip filter and reads the best constant off the selected point.  A
+sequence of pairs, such as a level of the dyadic build, goes through
+:func:`_search_rows`: on flat backends one call of :func:`_flat_search`
+over the rows of two arrays (a single pair is one row), on causal sets the
+pairs in turn.  Given tau(p,q), the search evaluates each candidate's two
+half-separations once and returns those of the point it selects; the
+dyadic build passes them on as the parent tau of the next level's
+searches, so no adjacent tau is evaluated twice.
 """
 
 from __future__ import annotations
@@ -197,8 +198,7 @@ def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
     set's own integer scan decides
     (:meth:`~causalgeo.spaces.CausalSetSpace.midpoint_scan`); a bundle with
     other times raises UnsupportedBackend.  On flat ones the pair is a
-    one-row call of :func:`_flat_search`, the search the dyadic build runs
-    on a whole level at once.
+    one-row call of :func:`_flat_search`.
     """
     if space.is_discrete:
         if bundle.time != space.time_of:
@@ -210,6 +210,31 @@ def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
     if not found[0]:
         return None
     return tuple(ys[0].tolist()), float(tau_py[0]), float(tau_yq[0])
+
+
+def _search_rows(space, bundle, xs, zs, tau_xz, eps, c, tol):
+    """The midpoint search for each pair xs[k] -> zs[k] given their tau
+    ``tau_xz``, with the other arguments of :func:`_search_with_taus`.
+
+    Returns ``(ys, tau(xs, ys), tau(ys, zs), found)`` as :func:`_flat_search`
+    does on flat backends.  On a causal set the pairs of ids are searched in
+    turn, as :func:`_flat_search` treats collapsed and unrelated rows, up to
+    the first pair without a midpoint: ``found`` is a prefix, and the three
+    lists end where it does.
+    """
+    if not space.is_discrete:
+        return _flat_search(space, bundle, xs, zs, np.asarray(tau_xz, float), eps, c, tol)
+    ys, tau_xy, tau_yz = [], [], []
+    for x, z, tau in zip(xs, zs, tau_xz):
+        # A collapsed pair's halves collapse too: the level invariants skip
+        # them and no search reads their tau.
+        found = ((x, 0, 0) if x == z else space.chronological(x, z)
+                 and _search_with_taus(space, bundle, x, z, eps, c, tol, tau))
+        if not found:
+            break
+        for column, value in zip((ys, tau_xy, tau_yz), found):
+            column.append(value)
+    return ys, tau_xy, tau_yz, np.arange(len(xs)) < len(ys)
 
 
 def _flat_search(space, bundle, xs, zs, tau_xz, eps, c, tol):

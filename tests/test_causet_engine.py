@@ -19,7 +19,7 @@ from causalgeo import (CausalSetSpace, MinkowskiSpace, TimeFunctionBundle,
                        is_eps_tau_midpoint, null_distance, null_distance_oracle,
                        sprinkle_causet)
 from causalgeo.errors import NotConnected, UnsupportedBackend
-from causalgeo.midpoints import _search_with_taus
+from causalgeo.midpoints import _search_rows, _search_with_taus
 from causalgeo.nulldist import _graph
 from causalgeo.spaces import _links
 from conftest import weighted_dags
@@ -198,6 +198,25 @@ class TestPrunedMidpointSearch:
             eps = float(space.tau(p, q)) * eps_hat
             assert (search(space, bundle, p, q, eps, c)
                     == full_scan_midpoint(space, bundle, p, q, eps, c)), (p, q)
+        # The rows search of a dyadic level shares one absolute eps, here
+        # eps_hat itself.  A collapsed row comes first and a row that is not
+        # chronological in the middle; each row must be its one-pair search,
+        # up to the first row without a midpoint, where the search stops.
+        points, pairs = list(space.points()), list(space.chronological_pairs())
+        unrelated = [(a, b) for a in points for b in points
+                     if a != b and not space.chronological(a, b)]
+        half = len(pairs) // 2
+        rows = [(points[0], points[0])] + pairs[:half] + unrelated[:1] + pairs[half:]
+        expected = [(x, 0, 0) if x == z
+                    else _search_with_taus(space, bundle, x, z, eps_hat, c, 0, space.tau(x, z))
+                    if space.chronological(x, z) else None
+                    for x, z in rows]
+        first_miss = next((k for k, one in enumerate(expected) if one is None), len(rows))
+        ys, left, right, found = _search_rows(space, bundle, [x for x, _ in rows],
+                                              [z for _, z in rows],
+                                              [space.tau(x, z) for x, z in rows], eps_hat, c, 0)
+        assert found.tolist() == [k < first_miss for k in range(len(rows))]
+        assert list(zip(ys, left, right)) == expected[:first_miss]
 
     def test_off_diamond_point_wins_when_tolerance_exceeds_half(self):
         # r is unrelated to p and q, so both of its half-separations are

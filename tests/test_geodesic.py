@@ -105,8 +105,8 @@ class TestBuild:
             ys[:, 1] += 10.0 * (len(xs) == 1)
             return ys, left, right, found
 
-        plain = geodesic._flat_search
-        monkeypatch.setattr(geodesic, "_flat_search", shifted)
+        plain = geodesic._search_rows
+        monkeypatch.setattr(geodesic, "_search_rows", shifted)
         with pytest.raises(MidpointUnavailable, match="lost chronological order") as err:
             build_dyadic_curve(mink, mink_bundle, P, Q, c=0.5, depth=3)
         assert (err.value.level, err.value.pair) == (2, (P, (1.0, 10.0)))
@@ -118,8 +118,8 @@ class TestBuild:
             ys, left, right, found = plain(space, bundle, xs, *rest)
             return ys, left * (1 + (len(xs) == rows)), right, found
 
-        plain = geodesic._flat_search
-        monkeypatch.setattr(geodesic, "_flat_search", doubled)
+        plain = geodesic._search_rows
+        monkeypatch.setattr(geodesic, "_search_rows", doubled)
 
     def test_broken_invariant_is_raised_once_every_level_is_built(self, mink, mink_bundle,
                                                                   monkeypatch):
@@ -145,7 +145,16 @@ class TestBuild:
         assert curve.point_at(Fraction(3, 4)) == "v3"
         with pytest.raises(MidpointUnavailable) as err:
             build_dyadic_curve(space, bundle, "v0", "v4", c=0.5, depth=3)
-        assert err.value.level == 3
+        assert (err.value.level, err.value.pair) == (3, ("v0", "v1"))
+
+    def test_collapsed_causet_pairs_keep_their_point(self):
+        # With tol = 0.6, v0 is a midpoint of v0..v1 (both halves are off by
+        # 1/2) and wins the time tie with v1 by id, so level 4 refines
+        # collapsed v0..v0 pairs, which keep v0.
+        space = chain_space(4)
+        curve = build_dyadic_curve(space, causet_time_bundle(space), "v0", "v4", c=0.1,
+                                   depth=4, tol=0.6)
+        assert curve.points == ["v0"] * 4 + ["v1"] * 4 + ["v2"] * 4 + ["v3"] * 4 + ["v4"]
 
     def test_validation(self, mink, mink_bundle):
         with pytest.raises(NotChronological):
