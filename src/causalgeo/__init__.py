@@ -14,8 +14,7 @@ from .midpoints import (LensStrip, MidpointQuery, approximate_midpoint_from_curv
                         certify_compatibility, find_midpoint, is_eps_tau_midpoint,
                         lens_in_strip_epsilon, midpoint_from_realizer)
 from .nulldist import (NullDistanceResult, NullLengthValue, check_metric_axioms,
-                       null_distance, null_distance_oracle, null_length,
-                       validate_analytic_fast_path)
+                       null_distance, null_distance_oracle, null_length)
 from .spaces import (CausalSetSpace, MinkowskiSpace, PuncturedMinkowski,
                      canonical_time_bundle, causet_time_bundle, cubic_time_bundle,
                      load_causet_csv, load_causet_json, save_causet_csv,

@@ -33,7 +33,7 @@ from .errors import (BudgetExceeded, CausalGeoError, ConfigError, DegenerateStri
 from .figures import lens_boundary_rows, lens_figure_svg
 from .geodesic import MAX_DEPTH, synthesize_geodesic
 from .midpoints import LensStrip, certify_compatibility, lens_in_strip_epsilon
-from .nulldist import check_metric_axioms, null_distance, validate_analytic_fast_path
+from .nulldist import check_metric_axioms, null_distance
 from .spaces import (MinkowskiSpace, PuncturedMinkowski,
                      canonical_time_bundle, causet_time_bundle, cubic_time_bundle,
                      load_causet_csv, load_causet_json, save_causet_csv,
@@ -379,9 +379,6 @@ def cmd_certify(config: RunConfig, space) -> int:
         "compatibility": certify_compatibility(space, bundle, section["c"],
                                                section["epsilon_hat"], budget, seed, tol),
     }
-    if bundle.canonical_minkowski:
-        certs["analytic_fast_path"] = validate_analytic_fast_path(space, bundle,
-                                                                  budget, seed, tol)
     return _report(certs, config["run"]["out"])
 
 

@@ -133,9 +133,6 @@ class TimeFunctionBundle:
     """A generalized time function ``time`` on a space plus anti-Lipschitz
     witnesses; on flat backends, a :class:`FlatTimeBundle`."""
 
-    # Only coordinate time takes the analytic null-distance fast path.
-    canonical_minkowski = False
-
     def __init__(self, time: Callable, witnesses: Iterable[AntiLipschitzWitness]):
         self.time = time
         self.witnesses = tuple(witnesses)
@@ -166,7 +163,6 @@ class FlatTimeBundle(TimeFunctionBundle):
         self.f = f
         self.f_inverse = f_inverse
         self.slope_minima = tuple(slope_minima)
-        self.canonical_minkowski = f is coordinate_time
 
 
 @dataclass(frozen=True)

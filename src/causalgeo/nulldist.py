@@ -16,10 +16,7 @@ the infimum of null lengths over piecewise causal curves joining two points
   are the two null corners and the local minima of f' (``slope_minima``).
 
 Every route builds its witness curve only on request
-(:attr:`NullDistanceResult.witness_curve`).  The closed form
-max(|dt|, ||dx||) for the coordinate time function
-(:func:`minkowski_analytic_candidate`) is not a route: it is checked against
-:func:`null_distance` by :func:`validate_analytic_fast_path`.
+(:attr:`NullDistanceResult.witness_curve`).
 """
 
 from __future__ import annotations
@@ -146,7 +143,7 @@ def _crossing_witness(space, bundle, p, q, level, value):
         if gap <= tol:
             return curve
         teeth = math.ceil(math.sqrt(2 * gap / tol))
-    raise BudgetExceeded(f"teeth crossing level {level} miss the null distance", gap)
+    raise BudgetExceeded(f"teeth crossing level {level} miss the null distance", value + gap)
 
 
 def _teeth(space, frame, p, q, level, teeth):
@@ -200,20 +197,6 @@ def _graph(space: CausalSetSpace, bundle, p, q) -> NullDistanceResult:
     orientations = [FUTURE if space.causal_le(a, b) else PAST for a, b in zip(path, path[1:])]
     return NullDistanceResult(
         dist, partial(PiecewiseCausalCurve, space, tuple(path), tuple(orientations)), "graph")
-
-
-def minkowski_analytic_candidate(bundle: TimeFunctionBundle, p, q) -> float:
-    """max(|dt|, ||dx||): the null distance of coordinate time on flat space.
-
-    It bounds every piecewise causal curve from below, because each causal
-    segment has |dt| >= ||dx||, and the two-segment null corner attains it
-    (Sormani-Vega, CQG 33 (2016) 085001).  Only meaningful for the canonical
-    bundle; do not trust it on a backend before
-    :func:`validate_analytic_fast_path` passes there.
-    """
-    if not bundle.canonical_minkowski:
-        raise UnsupportedBackend("analytic candidate requires the coordinate time function")
-    return max(abs(q[0] - p[0]), math.dist(p[1:], q[1:]))
 
 
 def null_distance(space: Space, bundle: TimeFunctionBundle, p, q) -> NullDistanceResult:
@@ -408,24 +391,3 @@ def _metric_axioms(space, bundle, cert, kind, a, b, *rest):
         found.append((("definiteness", a, b, d_ab), a != b and d_ab <= tol))
     return found if kind is None else found[0]
 
-
-def validate_analytic_fast_path(space: Space, bundle: TimeFunctionBundle,
-                                sample_budget: int = 200, seed: int = DEFAULT_SEED,
-                                tol: float = 1e-9) -> Certificate:
-    """Gatekeeper for the analytic candidate: compare it against the default
-    route on sampled pairs of every causal character."""
-    if not bundle.canonical_minkowski:
-        raise UnsupportedBackend("fast path only applies to the coordinate time function")
-    rng = make_rng(seed)
-    pts = space.sample_points(rng, 2 * sample_budget)
-    related = space.sample_causal_pairs(rng, sample_budget // 2)
-    pairs = list(zip(pts[0::2], pts[1::2])) + related
-    draft = Certificate("analytic_fast_path", None, float(tol), len(pairs), seed)
-    return certify(draft, space, bundle, [(a, b, None, None) for a, b in pairs])[0]
-
-
-@predicate("analytic_fast_path")
-def _analytic_fast_path(space, bundle, cert, a, b, _cand, _ref):
-    cand = minkowski_analytic_candidate(bundle, a, b)
-    ref = null_distance(space, bundle, a, b).value
-    return (a, b, cand, ref), abs(cand - ref) > cert.tolerance

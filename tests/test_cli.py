@@ -454,7 +454,7 @@ class TestCertifyCommand:
         assert run("certify", "--out", str(out), "--seed", "3") == 0
         certs = {c["name"]: c for c in read_json(out / "certificates.json")}
         assert set(certs) == {"chronology", "reverse_triangle", "anti_lipschitz",
-                              "metric_axioms", "compatibility", "analytic_fast_path"}
+                              "metric_axioms", "compatibility"}
         assert all(c["verdict"] == "pass" for c in certs.values())
 
     def test_cubic_time_function_fails_anti_lipschitz(self, tmp_path):
@@ -497,7 +497,6 @@ class TestCertifyCommand:
         out = tmp_path / "o"
         assert run("certify", "--config", str(cfg), "--out", str(out)) == 0
         certs = {c["name"]: c for c in read_json(out / "certificates.json")}
-        assert "analytic_fast_path" in certs
         assert {c["tolerance"] for c in certs.values()} == {1e-6}
 
     def test_failure_removes_outputs_of_an_earlier_success(self, tmp_path):
@@ -673,7 +672,7 @@ class TestGoldenZigzag:
             assert (out / "distances.csv").read_bytes() == fh.read()
 
     def test_certificates_match_golden(self, tmp_path):
-        # metric_axioms and analytic_fast_path both take the zigzag route.
+        # metric_axioms takes the zigzag route on every spacelike pair.
         golden = os.path.join(os.path.dirname(__file__), "golden")
         out = tmp_path / "o"
         assert run("certify", "--config", os.path.join(golden, "certify_flat.cfg"),

@@ -13,12 +13,12 @@ import os
 import sys
 from fractions import Fraction
 
-from causalgeo import (CausalSetSpace, DyadicCurve, FlatTimeBundle, MinkowskiSpace,
+from causalgeo import (CausalSetSpace, DyadicCurve, MinkowskiSpace,
                        build_dyadic_curve, canonical_time_bundle, causet_time_bundle,
                        certify_compatibility, check_anti_lipschitz, check_causal_extension,
                        check_chronology, check_holder, check_metric_axioms, check_realizer,
                        check_reverse_triangle, check_subsequent_bound, cubic_time_bundle,
-                       replay, sprinkle_causet, validate_analytic_fast_path)
+                       replay, sprinkle_causet)
 from causalgeo.core import FAIL, Certificate
 from causalgeo.geodesic import check_extension_tail
 
@@ -136,20 +136,9 @@ def metric_axioms():
     return cert, (cubic, bundle), (cubic, canonical_time_bundle(cubic))
 
 
-def analytic_fast_path():
-    mink, canonical = _flat()
-    # Coordinate time with a false slope minimum: f' = 1 everywhere, but the
-    # zigzag also tries crossing at t = 0 for 0.5 per unit of distance.
-    false_minimum = FlatTimeBundle(canonical.f, canonical.f_inverse, canonical.witnesses,
-                                   slope_minima=((0.0, 0.5),))
-    cert = validate_analytic_fast_path(mink, false_minimum, sample_budget=20, seed=0)
-    return cert, (mink, false_minimum), (mink, canonical)
-
-
 BUILDERS = {fn.__name__: fn for fn in (
     chronology, reverse_triangle, anti_lipschitz, subsequent_dyadic_bound, holder,
-    causal_extension, realizer, extension_tail, compatibility, metric_axioms,
-    analytic_fast_path)}
+    causal_extension, realizer, extension_tail, compatibility, metric_axioms)}
 
 
 def record(name):

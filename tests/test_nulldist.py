@@ -7,15 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from causalgeo import (CausalSetSpace, MinkowskiSpace, PiecewiseCausalCurve,
-                       PuncturedMinkowski, canonical_time_bundle, causet_time_bundle,
-                       check_metric_axioms, cubic_time_bundle, null_distance,
-                       null_distance_oracle, null_length, replay,
-                       validate_analytic_fast_path)
+from causalgeo import (CausalSetSpace, FlatTimeBundle, MinkowskiSpace,
+                       PiecewiseCausalCurve, PuncturedMinkowski, canonical_time_bundle,
+                       causet_time_bundle, check_metric_axioms, cubic_time_bundle,
+                       null_distance, null_distance_oracle, null_length, replay)
 from causalgeo.cli import main
 from causalgeo.core import DEFAULT_TOL
-from causalgeo.errors import NotConnected, UnsupportedBackend
-from causalgeo.nulldist import _corner_nudge, _graph, minkowski_analytic_candidate
+from causalgeo.errors import BudgetExceeded, NotConnected
+from causalgeo.nulldist import _corner_nudge, _graph
 from causalgeo.spaces import PlaneFrame
 
 
@@ -82,16 +81,36 @@ class TestNullDistance:
         assert result.value == pytest.approx(1.0, abs=1e-9)
 
 
-class TestAnalyticFastPath:
-    def test_formula_matches_zigzag_after_validation(self, mink, mink_bundle):
-        cert = validate_analytic_fast_path(mink, mink_bundle, sample_budget=100, seed=2)
-        assert cert.passed
-        value = minkowski_analytic_candidate(mink_bundle, (0.2, -0.4), (0.3, 0.9))
-        assert value == pytest.approx(1.3, abs=1e-12)
+def coordinate_null_distance(p, q):
+    """max(|dt|, ||dx||): the null distance of coordinate time on flat space.
 
-    def test_requires_canonical_bundle(self, cubic_mink, cubic_bundle):
-        with pytest.raises(UnsupportedBackend):
-            minkowski_analytic_candidate(cubic_bundle, (0.0, 0.0), (0.0, 1.0))
+    Every causal segment has |dt| >= ||dx||, so no piecewise causal curve is
+    shorter, and the two-segment null corner attains it."""
+    return max(abs(q[0] - p[0]), math.dist(p[1:], q[1:]))
+
+
+class TestFalseSlopeMinimum:
+    """Coordinate time with a false slope minimum: f' = 1 everywhere, but the
+    zigzag also tries crossing at t = 0 for 0.5 per unit of distance, and
+    undercuts the true d_T = 2 with 1.1."""
+
+    P, Q = (-0.1, -1.0), (0.1, 1.0)
+
+    @pytest.fixture
+    def false_minimum(self, mink_bundle):
+        return FlatTimeBundle(mink_bundle.f, mink_bundle.f_inverse, mink_bundle.witnesses,
+                              slope_minima=((0.0, 0.5),))
+
+    def test_witness_search_gives_up_with_its_null_length(self, mink, false_minimum):
+        result = null_distance(mink, false_minimum, self.P, self.Q)
+        assert result.value == pytest.approx(1.1, abs=1e-12)
+        with pytest.raises(BudgetExceeded) as err:
+            result.witness_curve
+        assert err.value.best >= 2.0 - 1e-9
+
+    def test_grid_oracle_reads_the_true_distance(self, mink, false_minimum):
+        oracle = null_distance_oracle(mink, false_minimum, self.P, self.Q, resolution=0.05)
+        assert abs(oracle - 2.0) <= 1e-6
 
 
 FLAT_BACKENDS = (MinkowskiSpace(1), MinkowskiSpace(2), MinkowskiSpace(3),
@@ -142,7 +161,7 @@ class TestZigzagCornerBound:
             assert witness.points[::2] == (p, q)
             assert witness.points[1] in nudged_corners(p, q)
             assert 0 <= result.witness_length(bundle).value - result.value <= DEFAULT_TOL
-        assert abs(result.value - minkowski_analytic_candidate(bundle, p, q)) <= 1e-14
+        assert abs(result.value - coordinate_null_distance(p, q)) <= 1e-14
 
     def test_spacelike_pairs_skip_the_search(self, mink3, monkeypatch):
         # The value takes only the routing's two relation tests on the pair
@@ -172,7 +191,7 @@ class TestZigzagCornerBound:
         bundle = canonical_time_bundle(space)
         result = null_distance(space, bundle, p, q)
         assert result.method == "zigzag"
-        assert result.value == minkowski_analytic_candidate(bundle, p, q)
+        assert result.value == coordinate_null_distance(p, q)
         witness = result.witness_curve
         assert len(witness.points) == 3
         assert all(space.contains(m) for m in witness.points)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from causalgeo import (CausalSetSpace, MinkowskiSpace, canonical_time_bundle,
                        cubic_time_bundle, load_causet_csv, load_causet_json, save_causet_csv,
                        save_causet_json, sprinkle_causet)
-from causalgeo.core import atomic_write, make_rng
+from causalgeo.core import atomic_write, coordinate_time, make_rng
 from causalgeo.errors import BudgetExceeded, NotComplete
 from causalgeo.spaces import MAX_SPRINKLE_POINTS
 
@@ -92,8 +92,8 @@ class TestFlatBundleFacts:
                 assert slope(s - offset) >= slope(s) <= slope(s + offset)
 
     def test_coordinate_time_is_the_canonical_bundle(self, mink):
-        assert canonical_time_bundle(mink).canonical_minkowski
-        assert not cubic_time_bundle(mink).canonical_minkowski
+        assert canonical_time_bundle(mink).f is coordinate_time
+        assert cubic_time_bundle(mink).f is not coordinate_time
         assert canonical_time_bundle(mink).slope_minima == ()
 
     @pytest.mark.parametrize("make", BUNDLES)
@@ -107,7 +107,7 @@ class TestFlatBundleFacts:
             for level in ((fp + fq) / 2, 0.8 * fp + 0.2 * fq, 0.2 * fp + 0.8 * fq):
                 want = _bisected_level(bundle, level, tp, tq)
                 got = bundle.f_inverse(level)
-                if bundle.canonical_minkowski:
+                if bundle.f is coordinate_time:
                     assert got == want
                 else:
                     assert math.isclose(got, want, rel_tol=1e-14)

@@ -10,7 +10,9 @@ Dilation by 2 is exact in floats, and with T = t every formula is
 homogeneous of degree one, so d_T and the exact midpoint double bit for
 bit.  Time reversal t -> -t swaps the causal order; both f(t) = t
 and f(t) = t^3 are odd, so tau(p, q) and d_T(p, q) must equal their values
-on the reversed pair (-q, -p), up to rounding.
+on the reversed pair (-q, -p), up to rounding.  Boosts and spatial rotations
+are Lorentz maps that move the coordinates themselves, so they keep tau
+only up to rounding and the causal relations on pairs clear of the cone.
 
 On a causal set both symmetries are exact.  Reversing every edge and
 negating every time gives the reversed set, whose tau(y, x) is tau(x, y)
@@ -19,6 +21,8 @@ negating every time gives the reversed set, whose tau(y, x) is tau(x, y)
 """
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -140,6 +144,59 @@ def test_dilation_doubles_coordinate_time_exactly(dim):
         assert y is not None
         assert find_midpoint(space, bundle,
                              MidpointQuery(_dilate(p), _dilate(q), c=0.1)) == _dilate(y)
+
+
+def _boost(v):
+    """The boost along x1 with velocity v, |v| < 1."""
+    gamma = 1.0 / math.sqrt(1.0 - v * v)
+
+    def apply(x):
+        return (gamma * (x[0] - v * x[1]), gamma * (x[1] - v * x[0]), *x[2:])
+    return apply
+
+
+def _rotation(angle):
+    """The rotation by ``angle`` in the x1-x2 plane."""
+    c, s = math.cos(angle), math.sin(angle)
+
+    def apply(x):
+        return (x[0], c * x[1] - s * x[2], s * x[1] + c * x[2], *x[3:])
+    return apply
+
+
+def _lorentz_cases(dim, rng, count):
+    """``count`` (p, q, map) cases: half the pairs uniform, half chronological,
+    each under a boost with |v| <= 0.9 or, for dim >= 2, a rotation."""
+    cases = []
+    for k in range(count):
+        p = tuple(rng.uniform(-1.0, 1.0) for _ in range(dim + 1))
+        if k % 2:
+            dx = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
+            dt = math.hypot(*dx) + rng.uniform(0.0, 1.0)
+            q = (p[0] + dt, *(a + b for a, b in zip(p[1:], dx)))
+        else:
+            q = tuple(rng.uniform(-1.0, 1.0) for _ in range(dim + 1))
+        if dim >= 2 and rng.random() < 0.5:
+            cases.append((p, q, _rotation(rng.uniform(0.0, 2 * math.pi))))
+        else:
+            cases.append((p, q, _boost(rng.uniform(-0.9, 0.9))))
+    return cases
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_boosts_and_rotations_keep_tau_and_the_causal_relations(dim):
+    space = MinkowskiSpace(dim)
+    related = 0
+    for p, q, lorentz in _lorentz_cases(dim, random.Random(3), 1000):
+        mp, mq = lorentz(p), lorentz(q)
+        scale = max(1.0, *map(abs, p + q + mp + mq))
+        for x, y, mx, my in ((p, q, mp, mq), (q, p, mq, mp)):
+            assert abs(space.tau(mx, my) - space.tau(x, y)) <= 1e-12 * scale
+            if abs(y[0] - x[0] - math.dist(x[1:], y[1:])) > 1e-8:
+                assert space.causal_le(mx, my) == space.causal_le(x, y)
+                assert space.chronological(mx, my) == space.chronological(x, y)
+                related += space.chronological(x, y)
+    assert related >= 500
 
 
 def _null_distance(space, x, y):
