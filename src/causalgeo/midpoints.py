@@ -15,16 +15,15 @@ midpoint (p+q)/2 (:func:`affine_midpoint`), which is the unique exact
 tau-midpoint there, rejected when it falls on a removed point; in the
 approximate case, one closed-form candidate on the lens's level of T
 nearest (T(p)+T(q))/2, in the p-q plane, with the affine midpoint as the
-fallback.  One pair goes through :func:`_search_with_taus`, behind
+fallback.  Every search goes through :func:`_search_rows`, which takes a
+sequence of pairs: a level of the dyadic build, or the one pair of
 :func:`find_midpoint` and the compatibility certificate, which drops the
-strip filter and reads the best constant off the selected point.  A
-sequence of pairs, such as a level of the dyadic build, goes through
-:func:`_search_rows`: on flat backends one call of :func:`_flat_search`
-over the rows of two arrays (a single pair is one row), on causal sets the
-pairs in turn.  Given tau(p,q), the search evaluates each candidate's two
-half-separations once and returns those of the point it selects; the
-dyadic build passes them on as the parent tau of the next level's
-searches, so no adjacent tau is evaluated twice.
+strip filter and reads the best constant off the selected point.  On flat
+backends the pairs are the rows of one :func:`_flat_search` call, on causal
+sets they are scanned in turn.  Given tau(p,q), the search evaluates each
+candidate's two half-separations once and returns those of the point it
+selects; the dyadic build passes them on as the parent tau of the next
+level's searches, so no adjacent tau is evaluated twice.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .core import (Certificate, DEFAULT_SEED, PiecewiseCausalCurve, Space,
                    resolve_tol)
 from .errors import (CurveTooShort, DegenerateStrip, MidpointBoundsViolated,
                      NotARealizer, NotChronological, UnsupportedBackend)
-from .spaces import PlaneFrame
+from .spaces import embed_rows
 
 
 @dataclass(frozen=True)
@@ -185,51 +184,36 @@ def _strip_margin(bundle, p, q, y):
     return min(u, 1 - u)
 
 
-def _search_with_taus(space, bundle, p, q, eps, c, tol, tau_pq):
-    """Deterministic feasible-point search given ``tau_pq = tau(p, q)``;
-    ``c=None`` drops the strip filter, and ``tol`` relaxes c as it relaxes
-    the halves on every backend (:func:`resolve_tol` makes it 0 on discrete ones).
-
-    Returns ``(y, tau(p, y), tau(y, q))`` for the selected point y, or None;
-    a caller that refines the pair again needs no further tau.
-
-    Selection rule: minimize |T(y) - (T(p)+T(q))/2|.  On discrete backends
-    ties go to the smallest vertex id, T is the stored vertex times and the
-    set's own integer scan decides
-    (:meth:`~causalgeo.spaces.CausalSetSpace.midpoint_scan`); a bundle with
-    other times raises UnsupportedBackend.  On flat ones the pair is a
-    one-row call of :func:`_flat_search`.
-    """
-    if space.is_discrete:
-        if bundle.time != space.time_of:
-            raise UnsupportedBackend("a causal set's midpoints are those of its stored times")
-        return space.midpoint_scan(p, q, eps, c, tol)
-    ys, tau_py, tau_yq, found = _flat_search(space, bundle, np.array([p], float),
-                                             np.array([q], float), np.array([tau_pq], float),
-                                             eps, c, tol)
-    if not found[0]:
-        return None
-    return tuple(ys[0].tolist()), float(tau_py[0]), float(tau_yq[0])
-
-
 def _search_rows(space, bundle, xs, zs, tau_xz, eps, c, tol):
     """The midpoint search for each pair xs[k] -> zs[k] given their tau
-    ``tau_xz``, with the other arguments of :func:`_search_with_taus`.
+    ``tau_xz``; ``c=None`` drops the strip filter, and ``tol`` relaxes c as
+    it relaxes the halves on every backend (:func:`resolve_tol` makes it 0
+    on discrete ones).  A single pair is one row (:func:`_midpoint_of`).
 
-    Returns ``(ys, tau(xs, ys), tau(ys, zs), found)`` as :func:`_flat_search`
-    does on flat backends.  On a causal set the pairs of ids are searched in
-    turn, as :func:`_flat_search` treats collapsed and unrelated rows, up to
-    the first pair without a midpoint: ``found`` is a prefix, and the three
-    lists end where it does.
+    Returns ``(ys, tau(xs, ys), tau(ys, zs), found)``: per pair the selected
+    point, its two half-separations (the parent tau of a further refinement)
+    and whether there is one; a collapsed pair keeps its point with zero
+    halves and counts as found, an unrelated pair does not.
+
+    Selection rule: minimize |T(y) - (T(p)+T(q))/2|.  On flat backends the
+    pairs are the rows of one :func:`_flat_search` call.  On a causal set T
+    is the stored vertex times (a bundle with other times raises
+    UnsupportedBackend), and the pairs in turn go through the set's integer
+    scan (:meth:`~causalgeo.spaces.CausalSetSpace.midpoint_scan`), ties to
+    the smallest id, up to the first pair without a midpoint: ``found`` is
+    a prefix, and the three lists end where it does.
     """
     if not space.is_discrete:
-        return _flat_search(space, bundle, xs, zs, np.asarray(tau_xz, float), eps, c, tol)
+        return _flat_search(space, bundle, np.asarray(xs, float), np.asarray(zs, float),
+                            np.asarray(tau_xz, float), eps, c, tol)
+    if bundle.time != space.time_of:
+        raise UnsupportedBackend("a causal set's midpoints are those of its stored times")
     ys, tau_xy, tau_yz = [], [], []
-    for x, z, tau in zip(xs, zs, tau_xz):
+    for x, z in zip(xs, zs):
         # A collapsed pair's halves collapse too: the level invariants skip
         # them and no search reads their tau.
         found = ((x, 0, 0) if x == z else space.chronological(x, z)
-                 and _search_with_taus(space, bundle, x, z, eps, c, tol, tau))
+                 and space.midpoint_scan(x, z, eps, c, tol))
         if not found:
             break
         for column, value in zip((ys, tau_xy, tau_yz), found):
@@ -237,15 +221,20 @@ def _search_rows(space, bundle, xs, zs, tau_xz, eps, c, tol):
     return ys, tau_xy, tau_yz, np.arange(len(xs)) < len(ys)
 
 
+def _midpoint_of(space, bundle, p, q, eps, c, tol, tau_pq):
+    """The point :func:`_search_rows` selects for the one pair p -> q (a
+    tuple on flat space), or None."""
+    ys, _, _, found = _search_rows(space, bundle, [p], [q], [tau_pq], eps, c, tol)
+    if not found[0]:
+        return None
+    return ys[0] if space.is_discrete else tuple(ys[0].tolist())
+
+
 def _flat_search(space, bundle, xs, zs, tau_xz, eps, c, tol):
     """The flat midpoint search for every row pair xs[k] -> zs[k] of two
     (k, 1+n) float arrays at once, given their tau as the array ``tau_xz``;
-    ``eps``, ``c`` and ``tol`` are those of :func:`_search_with_taus`.
-
-    Returns ``(ys, tau(xs, ys), tau(ys, zs), found)``: per row the selected
-    point and its two half-separations, and whether there is one.  A
-    collapsed row (xs[k] == zs[k]) keeps its parent with zero halves and
-    counts as found; a row whose parents are not chronological does not.
+    the arguments and the result are those of :func:`_search_rows`, with
+    ``ys`` a (k, 1+n) array.
 
     A candidate is admissible when it is not within a rounding guard
     max(tol, 1e-12) of a removed point (so in the universe), both halves
@@ -321,10 +310,10 @@ def _flat_search(space, bundle, xs, zs, tau_xz, eps, c, tol):
     r_z = np.sqrt(_max(_each(_squared, t_hi - t) - r * r, 0.0))
     lo, hi = _max(-r_x, d - r_z), _min(r_x, d + r_z)
     along = _min(_max(d * (t - t_lo) / (t_hi - t_lo), lo + (hi - lo) / 4), hi - (hi - lo) / 4)
-    candidates = PlaneFrame.embed_rows(x, z, d, t, along)
+    candidates = embed_rows(x, z, d, t, along)
     near = _near_removed(space, candidates, guard)
     if near.any():
-        candidates = PlaneFrame.embed_rows(x, z, d, t, np.where(near, (lo + along) / 2, along))
+        candidates = embed_rows(x, z, d, t, np.where(near, (lo + along) / 2, along))
     admit(rows, candidates)
     # A lens narrower than rounding can leave the slice point outside it.
     late = rows[~found[rows] & ~exact_first[rows]]
@@ -384,8 +373,7 @@ def find_midpoint(space: Space, bundle: TimeFunctionBundle, query: MidpointQuery
     tol = resolve_tol(space, tol)
     tau_pq = space.tau(p, q)
     eps = float(tau_pq) * query.epsilon_hat if query.epsilon_hat > 0 else query.epsilon
-    found = _search_with_taus(space, bundle, p, q, eps, query.c, tol, tau_pq)
-    return None if found is None else found[0]
+    return _midpoint_of(space, bundle, p, q, eps, query.c, tol, tau_pq)
 
 
 def certify_compatibility(space: Space, bundle: TimeFunctionBundle, c: float,
@@ -421,12 +409,11 @@ def _compatibility(space, bundle, cert, a, b, _best_c, _midpoint):
     """Minimizing |T(y) - center| maximizes min(u, 1-u) over lens points:
     the largest c whose strip still holds one."""
     tau_ab = space.tau(a, b)
-    found = _search_with_taus(space, bundle, a, b, float(tau_ab) * cert.data["epsilon_hat"],
-                              None, cert.tolerance, tau_ab)
-    if found is None:
+    y = _midpoint_of(space, bundle, a, b, float(tau_ab) * cert.data["epsilon_hat"],
+                     None, cert.tolerance, tau_ab)
+    if y is None:
         # An empty lens fails midpoint existence, which compatibility assumes.
         return (a, b, None, None), False
-    y = found[0]
     best_c = _strip_margin(bundle, a, b, y)
     return (a, b, best_c, y), best_c < cert.data["c"] - cert.tolerance
 

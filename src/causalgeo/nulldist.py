@@ -28,11 +28,13 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
+import numpy as np
+
 from .core import (FUTURE, PAST, Certificate, DEFAULT_SEED, PiecewiseCausalCurve,
                    Space, TimeFunctionBundle, certify, make_rng, predicate,
                    resolve_tol)
 from .errors import BudgetExceeded, NotConnected, UnsupportedBackend
-from .spaces import CausalSetSpace, PlaneFrame
+from .spaces import CausalSetSpace, embed_rows
 
 
 @dataclass(frozen=True)
@@ -136,9 +138,8 @@ def _crossing_witness(space, bundle, p, q, level, value):
     and the curve is the null corner.
     """
     tol, teeth = resolve_tol(space, None), 1
-    frame = PlaneFrame(p, q)
     for _ in range(2):
-        curve = _teeth(space, frame, p, q, level, teeth)
+        curve = _teeth(space, p, q, level, teeth)
         gap = null_length(bundle, curve).value - value
         if gap <= tol:
             return curve
@@ -146,14 +147,16 @@ def _crossing_witness(space, bundle, p, q, level, value):
     raise BudgetExceeded(f"teeth crossing level {level} miss the null distance", value + gap)
 
 
-def _teeth(space, frame, p, q, level, teeth):
+def _teeth(space, p, q, level, teeth):
     """Null from p to ``level``, ``teeth`` teeth across the remaining R, null
     on to q.  Each turning point, a joint at or beyond both neighbours in
     time, is nudged :func:`_corner_nudge` further out, so it is causal to
     both despite rounding, and further while it is a removed point.  Teeth
     are laid where R exceeds the nudge, which the nudged corner covers, or
-    where the curve passes the level monotonically and cannot turn there."""
-    tp, tq, span = p[0], q[0], frame.span
+    where the curve passes the level monotonically and cannot turn there.
+    The joints are rows of the p-q plane (:func:`~causalgeo.spaces.embed_rows`),
+    and each nudge moves only the rows still on a removed point."""
+    tp, tq, span = p[0], q[0], math.dist(p[1:], q[1:])
     a, b = abs(level - tp), span - abs(tq - level)
     nudge = _corner_nudge(tp, tq, span)
     profile = [(tp, 0.0), (level, a)]
@@ -163,17 +166,18 @@ def _teeth(space, frame, p, q, level, teeth):
             profile += [(level + h, a + (4 * k + 1) * h), (level - h, a + (4 * k + 3) * h)]
         profile.append((level, b))
     profile.append((tq, span))
-    points = [p]
-    for (t0, _), (t, s), (t1, _) in zip(profile, profile[1:], profile[2:]):
-        # Joints are the turning points; the rest lie on straight null runs.
-        if t >= max(t0, t1) or t <= min(t0, t1):
-            step = nudge if t >= max(t0, t1) else -nudge
-            t += step
-            while not space.contains(frame.embed(t, s)):
-                t += step
-            points.append(frame.embed(t, s))
-    points.append(q)
-    return PiecewiseCausalCurve(space, tuple(points), tuple(
+    # Joints are the turning points; the rest lie on straight null runs.
+    t, s, step = np.array([(t, s, nudge if t >= max(t0, t1) else -nudge)
+                           for (t0, _), (t, s), (t1, _) in zip(profile, profile[1:], profile[2:])
+                           if t >= max(t0, t1) or t <= min(t0, t1)]).T
+    p_row, q_row = np.array([[p], [q]], float)
+    joints, moved = np.empty((len(t), len(p))), np.arange(len(t))
+    while moved.size:
+        t[moved] += step[moved]
+        joints[moved] = embed_rows(p_row, q_row, np.array([span]), t[moved], s[moved])
+        moved = moved[[not space.contains(joint) for joint in map(tuple, joints[moved].tolist())]]
+    points = (p, *map(tuple, joints.tolist()), q)
+    return PiecewiseCausalCurve(space, points, tuple(
         FUTURE if y[0] > x[0] else PAST for x, y in zip(points, points[1:])))
 
 

@@ -135,35 +135,18 @@ class MinkowskiSpace(Space):
         return self._sample_chains(rng, count, 3, 0.05, 1.0, 0.5)
 
 
-class PlaneFrame:
-    """The 2-plane spanned by the time axis and the spatial direction p -> q.
-
-    Plane point (t, s) sits at time t, a distance s from p along that direction.
-    """
-
-    def __init__(self, p, q):
-        self.base = p
-        dxv = [b - a for a, b in zip(p[1:], q[1:])]
-        self.span = math.hypot(*dxv)
-        if self.span == 0.0:
-            self.unit = (1.0,) + (0.0,) * (len(dxv) - 1)
-        else:
-            self.unit = tuple(d / self.span for d in dxv)
-
-    def embed(self, t, s):
-        return (t, *(a + s * u for a, u in zip(self.base[1:], self.unit)))
-
-    @staticmethod
-    def embed_rows(ps, qs, span, t, s):
-        """``PlaneFrame(p, q).embed(t, s)`` for each row pair of two (k, 1+n)
-        arrays, bit for bit, given their spans as :meth:`MinkowskiSpace.delta_rows`
-        returns them."""
-        unit = (qs[:, 1:] - ps[:, 1:]) / np.where(span == 0.0, 1.0, span)[:, None]
-        unit[span == 0.0] = np.eye(1, unit.shape[1])
-        out = np.empty_like(ps)
-        out[:, 0] = t
-        out[:, 1:] = ps[:, 1:] + s[:, None] * unit
-        return out
+def embed_rows(ps, qs, span, t, s):
+    """The point of the p-q plane at lab time t, a distance s from p along
+    the spatial direction p -> q, for each row pair of two (k, 1+n) arrays
+    given their spans as :meth:`MinkowskiSpace.delta_rows` returns them (a
+    zero span takes the first axis).  The output has a row per entry of t,
+    so one (1, 1+n) pair broadcasts over many levels."""
+    unit = (qs[:, 1:] - ps[:, 1:]) / np.where(span == 0.0, 1.0, span)[:, None]
+    unit[span == 0.0] = np.eye(1, unit.shape[1])
+    out = np.empty((len(t), ps.shape[1]))
+    out[:, 0] = t
+    out[:, 1:] = ps[:, 1:] + s[:, None] * unit
+    return out
 
 
 class PuncturedMinkowski(MinkowskiSpace):

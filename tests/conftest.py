@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,16 @@ def count_tau_evaluations(monkeypatch):
     monkeypatch.setattr(MinkowskiSpace, "tau", counted)
     monkeypatch.setattr(MinkowskiSpace, "tau_rows", counted_rows)
     return calls
+
+
+def plane_point(p, q, t, s):
+    """The point at lab time t, a distance s from p along the spatial
+    direction p -> q (the first axis when they share their position), in
+    Python floats: the scalar reference for ``spaces.embed_rows``."""
+    dx = [b - a for a, b in zip(p[1:], q[1:])]
+    span = math.hypot(*dx)
+    unit = [d / span for d in dx] if span else [1.0] + [0.0] * (len(dx) - 1)
+    return (t, *(a + s * u for a, u in zip(p[1:], unit)))
 
 
 class TauOverride:

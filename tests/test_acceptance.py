@@ -144,7 +144,8 @@ def test_criterion_4_lens_in_strip_and_golden_figure():
                 violations += 1
 
     svg = lens_figure_svg(LensStrip(space, bundle, p, q, eps_star, c), 200)
-    golden = open(GOLDEN).read()
+    with open(GOLDEN) as handle:
+        golden = handle.read()
     numbers = re.compile(r"-?\d+\.\d+")
     got = [float(tok) for tok in numbers.findall(svg)]
     want = [float(tok) for tok in numbers.findall(golden)]

@@ -14,12 +14,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalgeo import (CausalSetSpace, MinkowskiSpace, TimeFunctionBundle,
-                       causet_time_bundle, check_anti_lipschitz, check_reverse_triangle,
+from causalgeo import (CausalSetSpace, MidpointQuery, MinkowskiSpace, TimeFunctionBundle,
+                       build_dyadic_curve, causet_time_bundle, certify_compatibility,
+                       check_anti_lipschitz, check_reverse_triangle, find_midpoint,
                        is_eps_tau_midpoint, null_distance, null_distance_oracle,
                        sprinkle_causet)
 from causalgeo.errors import NotConnected, UnsupportedBackend
-from causalgeo.midpoints import _search_rows, _search_with_taus
+from causalgeo.midpoints import _midpoint_of, _search_rows
 from causalgeo.nulldist import _graph
 from causalgeo.spaces import _links
 from conftest import weighted_dags
@@ -182,8 +183,7 @@ def full_scan_midpoint(space, bundle, p, q, eps, c):
 
 def search(space, bundle, p, q, eps, c):
     """The point the exact midpoint search selects, or None."""
-    found = _search_with_taus(space, bundle, p, q, eps, c, 0, space.tau(p, q))
-    return None if found is None else found[0]
+    return _midpoint_of(space, bundle, p, q, eps, c, 0, space.tau(p, q))
 
 
 class TestPrunedMidpointSearch:
@@ -200,15 +200,16 @@ class TestPrunedMidpointSearch:
                     == full_scan_midpoint(space, bundle, p, q, eps, c)), (p, q)
         # The rows search of a dyadic level shares one absolute eps, here
         # eps_hat itself.  A collapsed row comes first and a row that is not
-        # chronological in the middle; each row must be its one-pair search,
-        # up to the first row without a midpoint, where the search stops.
+        # chronological in the middle; each row must be the set's midpoint
+        # scan of its pair, up to the first row without a midpoint, where the
+        # search stops.
         points, pairs = list(space.points()), list(space.chronological_pairs())
         unrelated = [(a, b) for a in points for b in points
                      if a != b and not space.chronological(a, b)]
         half = len(pairs) // 2
         rows = [(points[0], points[0])] + pairs[:half] + unrelated[:1] + pairs[half:]
         expected = [(x, 0, 0) if x == z
-                    else _search_with_taus(space, bundle, x, z, eps_hat, c, 0, space.tau(x, z))
+                    else space.midpoint_scan(x, z, eps_hat, c, 0)
                     if space.chronological(x, z) else None
                     for x, z in rows]
         first_miss = next((k for k, one in enumerate(expected) if one is None), len(rows))
@@ -217,6 +218,22 @@ class TestPrunedMidpointSearch:
                                               [space.tau(x, z) for x, z in rows], eps_hat, c, 0)
         assert found.tolist() == [k < first_miss for k in range(len(rows))]
         assert list(zip(ys, left, right)) == expected[:first_miss]
+
+    def test_midpoint_route_refuses_other_time_functions(self):
+        # The search scans the stored times, so a bundle with any other T
+        # is refused by every caller, as the graph route refuses it.
+        space = CausalSetSpace([("p", 0), ("m", 1), ("q", 2)], [("p", "m", 1), ("m", "q", 1)])
+        bundle = causet_time_bundle(space)
+        doubled = TimeFunctionBundle(lambda v: 2 * space.time_of(v), bundle.witnesses)
+        assert find_midpoint(space, bundle, MidpointQuery("p", "q")) == "m"
+        assert build_dyadic_curve(space, bundle, "p", "q", 0.5, 1).points == ["p", "m", "q"]
+        assert certify_compatibility(space, bundle, 0.5, 0.0).passed
+        with pytest.raises(UnsupportedBackend):
+            find_midpoint(space, doubled, MidpointQuery("p", "q"))
+        with pytest.raises(UnsupportedBackend):
+            build_dyadic_curve(space, doubled, "p", "q", 0.5, 1)
+        with pytest.raises(UnsupportedBackend):
+            certify_compatibility(space, doubled, 0.5, 0.0)
 
     def test_off_diamond_point_wins_when_tolerance_exceeds_half(self):
         # r is unrelated to p and q, so both of its half-separations are

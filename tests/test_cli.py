@@ -352,7 +352,8 @@ class TestLensCommand:
         out = tmp_path / "o"
         assert run("lens", "--out", str(out), "--seed", "42") == 0
         produced = (out / "lens.svg").read_text()
-        golden = open(GOLDEN).read()
+        with open(GOLDEN) as handle:
+            golden = handle.read()
         pattern = re.compile(r"-?\d+\.\d+")
         got = [float(tok) for tok in pattern.findall(produced)]
         want = [float(tok) for tok in pattern.findall(golden)]

@@ -18,9 +18,10 @@ from causalgeo.core import make_rng
 from causalgeo.errors import (CurveTooShort, DegenerateStrip,
                               MidpointBoundsViolated, NotARealizer,
                               NotChronological, UnsupportedBackend)
-from causalgeo.midpoints import _flat_search, _search_with_taus, _strip_margin, affine_midpoint
-from causalgeo.spaces import PlaneFrame
-from conftest import count_tau_evaluations
+from causalgeo.midpoints import (_flat_search, _midpoint_of, _search_rows, _strip_margin,
+                                  affine_midpoint)
+from causalgeo.spaces import embed_rows
+from conftest import count_tau_evaluations, plane_point
 
 P, Q = (0.0, 0.0), (2.0, 0.0)
 
@@ -133,8 +134,7 @@ class TestFlatSearchMisses:
         space, bundle, p, q, eps_hat, c, _ = case()
         tau_pq = space.tau(p, q)
         calls = count_tau_evaluations(monkeypatch)
-        assert _search_with_taus(space, bundle, p, q, tau_pq * eps_hat, c, 1e-9,
-                                 tau_pq) is not None
+        assert _midpoint_of(space, bundle, p, q, tau_pq * eps_hat, c, 1e-9, tau_pq) is not None
         assert 0 < len(calls) <= 4
 
 
@@ -186,11 +186,11 @@ class TestFlatSearchAgainstScan:
         space, bundle, p, q, eps = data.draw(flat_search_cases(kind))
         best = _best_scanned_margin(space, bundle, p, q, eps)
         assume(best is not None)
-        found = _search_with_taus(space, bundle, p, q, eps, None, 1e-9, space.tau(p, q))
-        assert found is not None
-        assert _strip_margin(bundle, p, q, found[0]) >= best - 1e-6
+        y = _midpoint_of(space, bundle, p, q, eps, None, 1e-9, space.tau(p, q))
+        assert y is not None
+        assert _strip_margin(bundle, p, q, y) >= best - 1e-6
         for removed in space.removed:
-            assert max(abs(a - b) for a, b in zip(found[0], removed)) > 1e-9
+            assert max(abs(a - b) for a, b in zip(y, removed)) > 1e-9
 
     @pytest.mark.parametrize("p, q, eps_hat, c", [
         ((1.0, 0.0), (2.0, 0.0), 4e-10, 0.3),
@@ -207,9 +207,9 @@ class TestFlatSearchAgainstScan:
         bundle = cubic_time_bundle(space)
         tau_pq = space.tau(p, q)
         eps = tau_pq * eps_hat
-        found = _search_with_taus(space, bundle, p, q, eps, c, 1e-9, tau_pq)
-        assert found is not None
-        assert is_eps_tau_midpoint(space, p, q, found[0], eps)
+        y = _midpoint_of(space, bundle, p, q, eps, c, 1e-9, tau_pq)
+        assert y is not None
+        assert is_eps_tau_midpoint(space, p, q, y, eps)
 
 
 class TestLensStrip:
@@ -635,8 +635,7 @@ def _scalar_search(space, bundle, p, q, eps, c, tol, tau_pq):
     found = admissible(exact) if exact_first else None
     if found is not None:
         return found
-    frame = PlaneFrame(p, q)
-    tp, tq, span = p[0], q[0], frame.span
+    tp, tq, span = p[0], q[0], math.dist(p[1:], q[1:])
     r = max(half - eps, 0.0)
     h, s = math.sqrt(half * half - r * r), span / tau_pq
     reach = r if s * r <= h else (tq - tp) / 2 - s * h
@@ -646,9 +645,9 @@ def _scalar_search(space, bundle, p, q, eps, c, tol, tau_pq):
     r_q = math.sqrt(max((tq - t) ** 2 - r * r, 0.0))
     lo, hi = max(-r_p, span - r_q), min(r_p, span + r_q)
     x = min(max(span * (t - tp) / (tq - tp), lo + (hi - lo) / 4), hi - (hi - lo) / 4)
-    y = frame.embed(t, x)
+    y = plane_point(p, q, t, x)
     if any(max(abs(a - b) for a, b in zip(y, rp)) <= guard for rp in space.removed):
-        y = frame.embed(t, (lo + x) / 2)
+        y = plane_point(p, q, t, (lo + x) / 2)
     found = admissible(y)
     if found is None and not exact_first:
         found = admissible(exact)
@@ -668,11 +667,13 @@ class TestFlatSearchRows:
         ys, left, right, found = _flat_search(space, bundle, xs, zs, taus, eps, c, 1e-9)
         for k, (p, q) in enumerate(pairs):
             tau_pq = space.tau(p, q)
-            one = _search_with_taus(space, bundle, p, q, eps, c, 1e-9, tau_pq)
+            one_y, one_left, one_right, one_found = _search_rows(space, bundle, [p], [q],
+                                                                 [tau_pq], eps, c, 1e-9)
             reference = _scalar_search(space, bundle, p, q, eps, c, 1e-9, tau_pq)
-            assert found[k] == (one is not None) == (reference is not None)
-            if one is not None:
-                assert (_bits([*ys[k], left[k], right[k]]) == _bits([*one[0], *one[1:]])
+            assert found[k] == one_found[0] == (reference is not None)
+            if found[k]:
+                assert (_bits([*ys[k], left[k], right[k]])
+                        == _bits([*one_y[0], one_left[0], one_right[0]])
                         == _bits([*reference[0], *reference[1:]]))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -712,9 +713,19 @@ class TestFlatSearchRows:
         assert _bits(taus) == _bits(space.tau(x, z) for x, z in pairs)
         assert (taus > 0).sum() > 5000
         t, along = rng.uniform(-3, 3, size=(2, 20000))
-        embedded = PlaneFrame.embed_rows(xs, zs, space.delta_rows(xs, zs)[1], t, along)
-        assert all(_bits(row) == _bits(PlaneFrame(x, z).embed(tk, sk))
+        spans = space.delta_rows(xs, zs)[1]
+        embedded = embed_rows(xs, zs, spans, t, along)
+        assert all(_bits(row) == _bits(plane_point(x, z, tk, sk))
                    for row, (x, z), tk, sk in zip(embedded, pairs, t.tolist(), along.tolist()))
+        # One pair broadcasts over every level, as a witness lays its joints,
+        # here with its own span and with a zero one.
+        xs[1, 1:] = zs[1, 1:]
+        for k in (0, 1):
+            x, z = tuple(xs[k].tolist()), tuple(zs[k].tolist())
+            spans = space.delta_rows(xs[k:k + 1], zs[k:k + 1])[1]
+            one = embed_rows(xs[k:k + 1], zs[k:k + 1], spans, t, along)
+            assert all(_bits(row) == _bits(plane_point(x, z, tk, sk))
+                       for row, tk, sk in zip(one, t.tolist(), along.tolist()))
 
     def test_row_tau_refuses_a_removed_point(self):
         space = PuncturedMinkowski(1, removed=[(1.0, 0.0)])

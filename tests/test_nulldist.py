@@ -1,5 +1,6 @@
 """Null distance: identities, zigzags, oracles, metric axioms."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -15,7 +16,7 @@ from causalgeo.cli import main
 from causalgeo.core import DEFAULT_TOL
 from causalgeo.errors import BudgetExceeded, NotConnected
 from causalgeo.nulldist import _corner_nudge, _graph
-from causalgeo.spaces import PlaneFrame
+from conftest import plane_point
 
 
 class TestNullLength:
@@ -134,9 +135,10 @@ def corner_levels(p, q):
 def nudged_corners(p, q):
     """Both null corners, each pushed one nudge inside the cones, embedded
     where a witness turning at that level lays its joint."""
-    frame, (up, down) = PlaneFrame(p, q), corner_levels(p, q)
-    nudge = _corner_nudge(p[0], q[0], frame.span)
-    return [frame.embed(up + nudge, up - p[0]), frame.embed(down - nudge, p[0] - down)]
+    up, down = corner_levels(p, q)
+    nudge = _corner_nudge(p[0], q[0], math.dist(p[1:], q[1:]))
+    return [plane_point(p, q, up + nudge, up - p[0]),
+            plane_point(p, q, down - nudge, p[0] - down)]
 
 
 class TestZigzagCornerBound:
@@ -310,6 +312,30 @@ class TestCubicClosedForm:
         assert witness.points[:mid] + witness.points[mid + 1:] == joints[:mid] + joints[mid + 1:]
         assert -1e-12 <= result.witness_length(bundle).value - result.value <= DEFAULT_TOL
 
+    def test_witness_nudges_a_joint_past_two_removed_positions(self, cubic_mink, cubic_bundle):
+        p, q = (-0.3, 0.0), (0.4, 1.0)
+        plain = null_distance(cubic_mink, cubic_bundle, p, q)
+        joints = plain.witness_curve.points
+        mid = len(joints) // 2
+        once = PuncturedMinkowski(1, removed=[joints[mid]], window=((-0.4, 0.4), 0.4))
+        removed = [joints[mid],
+                   null_distance(once, cubic_time_bundle(once), p, q).witness_curve.points[mid]]
+        space = PuncturedMinkowski(1, removed=removed, window=((-0.4, 0.4), 0.4))
+        bundle = cubic_time_bundle(space)
+        result = null_distance(space, bundle, p, q)
+        witness = result.witness_curve
+        witness.validate()
+        assert result.value == plain.value
+        assert not set(removed) & set(witness.points)
+        assert all(space.contains(m) for m in witness.points)
+        # The apex moves a third nudge out of the cones; every other joint
+        # keeps its bits.
+        apex = [point[0] for point in (joints[mid], *removed[1:], witness.points[mid])]
+        assert apex == sorted(apex) or apex == sorted(apex, reverse=True)
+        assert (_hexes(witness.points[:mid] + witness.points[mid + 1:])
+                == _hexes(joints[:mid] + joints[mid + 1:]))
+        assert -1e-12 <= result.witness_length(bundle).value - result.value <= DEFAULT_TOL
+
     # g at the down corner of this pair is 2.296; its nudged corner is
     # (0.5999999999958001, 0.3999999999999999).
     REMOVED_CORNER_PAIR = (1.0, 0.0), (1.2, 1.0)
@@ -380,6 +406,40 @@ class TestCubicClosedForm:
         assert calls == []
         null_distance(CUBIC_SPACE, CUBIC_BUNDLE, *pairs[0]).witness_curve
         assert len(calls) == 1
+
+
+def _hexes(points):
+    return [tuple(map(float.hex, point)) for point in points]
+
+
+class TestWitnessDigest:
+    """No golden holds a witness curve, so one digest pins the bits of 408:
+    seeded spacelike pairs in 1+1 to 1+3 with coordinate time and t^3, on
+    plain space and with every other interior joint of the plain witness
+    removed, which moves each of those joints one nudge further out."""
+
+    DIGEST = "a82f779d242706ae6bddbce7e5494ebe257e8f68c2e19f638fd9afbb4803a071"
+
+    def test_witness_points_keep_their_bits(self):
+        rng, digest = random.Random(28), hashlib.sha256()
+        for dim in (1, 2, 3):
+            plain = MinkowskiSpace(dim)
+            # t^3 witnesses run to thousands of teeth; coordinate time's are corners.
+            for make_bundle, count in ((canonical_time_bundle, 60), (cubic_time_bundle, 8)):
+                pairs = []
+                while len(pairs) < count:
+                    p, q = (tuple(rng.uniform(-1.0, 1.0) for _ in range(dim + 1))
+                            for _ in range(2))
+                    if not (plain.causal_le(p, q) or plain.causal_le(q, p)):
+                        pairs.append((p, q))
+                for p, q in pairs:
+                    joints = null_distance(plain, make_bundle(plain), p, q).witness_curve.points
+                    punctured = PuncturedMinkowski(dim, removed=joints[1:-1:2])
+                    for space in (plain, punctured):
+                        witness = null_distance(space, make_bundle(space), p, q).witness_curve
+                        for point in _hexes(witness.points):
+                            digest.update(" ".join(point).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestOracle:
